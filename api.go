@@ -18,8 +18,7 @@
 // Simulate is the single entry point: the Source selects what to simulate
 // (a named workload via FromWorkload, a custom profile via FromProfile, or
 // a recorded trace via FromTraceFile) and the context cancels the run
-// between simulated events. The older Run/RunProfile/RunTraceFile names
-// (and their *Context variants) remain as thin deprecated wrappers.
+// between simulated events.
 //
 // The experiment drivers in this package regenerate every table and figure
 // of the paper's evaluation; see RunMatrix, RunSensitivity, Table1 and
@@ -66,7 +65,7 @@ func Algorithms() []Algorithm { return config.Algorithms() }
 // one of these, so callers can branch with errors.Is instead of matching
 // message text:
 //
-//	res, err := flexsnoop.Run(alg, name, opts)
+//	res, err := flexsnoop.Simulate(ctx, alg, flexsnoop.FromWorkload(name), opts)
 //	if errors.Is(err, flexsnoop.ErrUnknownWorkload) { ... }
 var (
 	// ErrUnknownWorkload: a workload name no profile matches.
@@ -201,18 +200,13 @@ type Options struct {
 	// Eager forwarding for the lines of live transactions — before
 	// failing fast.
 	WatchdogDegrade bool
-	// ShardRings arbitrates the per-ring transmit batches of each cycle
-	// on worker goroutines instead of inline. Results are cycle-identical
-	// with it on or off: side effects merge in a fixed ring-index order.
-	// It only helps on machines embedding more than one ring.
-	ShardRings bool
 	// Tweak, when non-nil, receives the machine configuration for
 	// arbitrary adjustments before the run.
 	Tweak func(*MachineConfig)
 }
 
 // Validate reports whether the options are internally consistent,
-// wrapping ErrBadConfig on failure. Run and friends call it (plus the
+// wrapping ErrBadConfig on failure. Simulate calls it (plus the
 // algorithm-dependent combination checks) before building the machine, so
 // bad inputs fail fast instead of deep inside the simulator.
 func (o Options) Validate() error {
@@ -301,7 +295,7 @@ func (s Source) String() string {
 
 // Simulate runs one simulation: algorithm alg on the workload, profile or
 // trace the Source selects, under opts. It is the package's single
-// context-first entry point; every other Run* name delegates here.
+// entry point for one simulation; RunJobContext delegates here.
 //
 // The simulation stops between events once ctx is cancelled, returning an
 // error that wraps ctx's error (errors.Is(err, context.Canceled)
@@ -337,38 +331,10 @@ func simulateProfile(ctx context.Context, alg Algorithm, prof Profile, opts Opti
 	return machine.Run(exp)
 }
 
-// Run simulates one (algorithm, workload) pair.
-//
-// Deprecated: use Simulate with FromWorkload.
-func Run(alg Algorithm, workloadName string, opts Options) (Result, error) {
-	return Simulate(context.Background(), alg, FromWorkload(workloadName), opts)
-}
-
-// RunContext is Run with cancellation.
-//
-// Deprecated: use Simulate with FromWorkload.
-func RunContext(ctx context.Context, alg Algorithm, workloadName string, opts Options) (Result, error) {
-	return Simulate(ctx, alg, FromWorkload(workloadName), opts)
-}
-
-// RunProfile simulates one algorithm on a custom workload profile.
-//
-// Deprecated: use Simulate with FromProfile.
-func RunProfile(alg Algorithm, prof Profile, opts Options) (Result, error) {
-	return Simulate(context.Background(), alg, FromProfile(prof), opts)
-}
-
-// RunProfileContext is RunProfile with cancellation.
-//
-// Deprecated: use Simulate with FromProfile.
-func RunProfileContext(ctx context.Context, alg Algorithm, prof Profile, opts Options) (Result, error) {
-	return Simulate(ctx, alg, FromProfile(prof), opts)
-}
-
-// buildExperiment is the single validated construction path shared by
-// Run/RunProfile/RunTraceFile (and their Context variants): options are
-// validated, applied to a Table 4 default machine, and the final
-// configuration re-validated after the Tweak hook has run.
+// buildExperiment is the single validated construction path behind
+// Simulate's profile and trace sources: options are validated, applied
+// to a Table 4 default machine, and the final configuration re-validated
+// after the Tweak hook has run.
 func buildExperiment(alg Algorithm, prof Profile, opts Options) (machine.Experiment, error) {
 	if err := opts.Validate(); err != nil {
 		return machine.Experiment{}, err
@@ -404,7 +370,6 @@ func buildExperiment(alg Algorithm, prof Profile, opts Options) (machine.Experim
 		exp.WarmupCycles = sim.Time(opts.WarmupCycles)
 	}
 	exp.Telemetry = opts.Telemetry
-	exp.ShardRings = opts.ShardRings
 	exp.Faults = opts.Faults
 	exp.CheckEveryCycles = sim.Time(opts.CheckEvery)
 	exp.WatchdogWindow = sim.Time(opts.WatchdogWindow)
@@ -470,20 +435,6 @@ func WriteTraceFile(path, workloadName string, opsPerCore uint64, seed int64) er
 		}
 	}
 	return f.Close()
-}
-
-// RunTraceFile replays a trace file under an algorithm.
-//
-// Deprecated: use Simulate with FromTraceFile.
-func RunTraceFile(alg Algorithm, path string, opts Options) (Result, error) {
-	return Simulate(context.Background(), alg, FromTraceFile(path), opts)
-}
-
-// RunTraceFileContext is RunTraceFile with cancellation.
-//
-// Deprecated: use Simulate with FromTraceFile.
-func RunTraceFileContext(ctx context.Context, alg Algorithm, path string, opts Options) (Result, error) {
-	return Simulate(ctx, alg, FromTraceFile(path), opts)
 }
 
 // simulateTraceFile is the trace-backed execution path behind Simulate:

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunBasic(t *testing.T) {
-	res, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 400, CheckInvariants: true,
 	})
 	if err != nil {
@@ -27,27 +27,19 @@ func TestRunBasic(t *testing.T) {
 }
 
 // TestSimulateSources: the unified entry point accepts every Source
-// kind, matches the deprecated wrappers bit-for-bit, and rejects the
-// zero Source with ErrBadConfig instead of guessing.
+// kind, gives a named workload and its profile bit-identical results,
+// and rejects the zero Source with ErrBadConfig instead of guessing.
 func TestSimulateSources(t *testing.T) {
 	opts := flexsnoop.Options{OpsPerCore: 400}
-	want, err := flexsnoop.Run(flexsnoop.Lazy, "fft", opts)
+	want, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("Simulate(FromWorkload) differs from the deprecated Run wrapper")
-	}
-
 	prof, err := flexsnoop.WorkloadByName("fft")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = flexsnoop.Simulate(nil, flexsnoop.Lazy, flexsnoop.FromProfile(prof), opts) //lint:ignore SA1012 nil ctx is documented to mean Background
+	got, err := flexsnoop.Simulate(nil, flexsnoop.Lazy, flexsnoop.FromProfile(prof), opts) //lint:ignore SA1012 nil ctx is documented to mean Background
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +56,7 @@ func TestSimulateSources(t *testing.T) {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := flexsnoop.Run(flexsnoop.Lazy, "nope", flexsnoop.Options{OpsPerCore: 10}); err == nil {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("nope"), flexsnoop.Options{OpsPerCore: 10}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -95,7 +87,7 @@ func TestPredictorsList(t *testing.T) {
 
 func TestPredictorOverride(t *testing.T) {
 	p := flexsnoop.Predictors()["Sub512"]
-	res, err := flexsnoop.Run(flexsnoop.Subset, "lu", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.Subset, flexsnoop.FromWorkload("lu"), flexsnoop.Options{
 		OpsPerCore: 400, Predictor: &p,
 	})
 	if err != nil {
@@ -108,7 +100,7 @@ func TestPredictorOverride(t *testing.T) {
 
 func TestOptionsTweak(t *testing.T) {
 	tweaked := false
-	_, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 200,
 		Tweak: func(m *flexsnoop.MachineConfig) {
 			tweaked = true
@@ -122,7 +114,7 @@ func TestOptionsTweak(t *testing.T) {
 		t.Error("Tweak never called")
 	}
 	// An invalid tweak is rejected before simulation.
-	_, err = flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err = flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 200,
 		Tweak:      func(m *flexsnoop.MachineConfig) { m.RingLinkCycles = 0 },
 	})
@@ -132,11 +124,11 @@ func TestOptionsTweak(t *testing.T) {
 }
 
 func TestFasterRingIsFaster(t *testing.T) {
-	slow, err := flexsnoop.Run(flexsnoop.Lazy, "barnes", flexsnoop.Options{OpsPerCore: 500})
+	slow, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := flexsnoop.Run(flexsnoop.Lazy, "barnes", flexsnoop.Options{
+	fast, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 		OpsPerCore: 500,
 		Tweak:      func(m *flexsnoop.MachineConfig) { m.RingLinkCycles = 5 },
 	})
@@ -159,11 +151,11 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		t.Fatalf("trace file missing or empty: %v", err)
 	}
 	// Replay equals generator-driven run.
-	fromTrace, err := flexsnoop.RunTraceFile(flexsnoop.SupersetCon, path, flexsnoop.Options{CheckInvariants: true})
+	fromTrace, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetCon, flexsnoop.FromTraceFile(path), flexsnoop.Options{CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromGen, err := flexsnoop.Run(flexsnoop.SupersetCon, "specweb", flexsnoop.Options{OpsPerCore: 300, Seed: 7})
+	fromGen, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetCon, flexsnoop.FromWorkload("specweb"), flexsnoop.Options{OpsPerCore: 300, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +165,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 }
 
 func TestRunTraceFileErrors(t *testing.T) {
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, "/nonexistent", flexsnoop.Options{}); err == nil {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile("/nonexistent"), flexsnoop.Options{}); err == nil {
 		t.Error("missing trace file accepted")
 	}
 	dir := t.TempDir()
@@ -181,7 +173,7 @@ func TestRunTraceFileErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, bad, flexsnoop.Options{}); err == nil {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(bad), flexsnoop.Options{}); err == nil {
 		t.Error("corrupt trace accepted")
 	}
 }
@@ -211,7 +203,7 @@ func TestHeterogeneousRing(t *testing.T) {
 		flexsnoop.Subset, flexsnoop.Eager, flexsnoop.Lazy, flexsnoop.SupersetAgg,
 	}
 	p := flexsnoop.Predictors()["Supy2k"]
-	res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 		OpsPerCore:        600,
 		CheckInvariants:   true,
 		AlgorithmsPerNode: mixed,
@@ -231,7 +223,7 @@ func TestHeterogeneousRing(t *testing.T) {
 }
 
 func TestHeterogeneousRingWrongLength(t *testing.T) {
-	_, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore:        100,
 		AlgorithmsPerNode: []flexsnoop.Algorithm{flexsnoop.Lazy, flexsnoop.Eager},
 	})
@@ -255,11 +247,11 @@ func TestGzipTraceRoundTrip(t *testing.T) {
 	if fg.Size() >= fp.Size() {
 		t.Errorf("gzip trace (%d B) not smaller than plain (%d B)", fg.Size(), fp.Size())
 	}
-	a, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, plain, flexsnoop.Options{})
+	a, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(plain), flexsnoop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, gzipped, flexsnoop.Options{})
+	b, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(gzipped), flexsnoop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package flexsnoop
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,14 +23,8 @@ type BenchConfig struct {
 	// allocs/op stay comparable across BENCH_*.json generations.
 	Short bool
 	// Scenarios, when non-empty, restricts the run to the named
-	// scenarios (see BenchScenarios). Shard variants are selected by
-	// their own row names ("matrix-subset-shard").
+	// scenarios (see BenchScenarios).
 	Scenarios []string
-	// ShardRings forces Options.ShardRings on for every row, including
-	// the ones that would normally run serial. The default suite already
-	// contains dedicated "-shard" rows, so this is only useful for
-	// ad-hoc comparisons.
-	ShardRings bool
 	// ProfileDir, when non-empty, writes per-scenario CPU and heap
 	// profiles (<dir>/<scenario>.cpu.prof, <dir>/<scenario>.mem.prof)
 	// covering each scenario's measured region.
@@ -45,13 +40,8 @@ type BenchConfig struct {
 // CyclesPerSec is the simulator's throughput in simulated cycles per
 // wall-clock second.
 type BenchResult struct {
-	Name       string `json:"name"`
-	Iterations int    `json:"iterations"`
-	// ShardRings and GoMaxProcs record the configuration of THIS row —
-	// they live per-result (not per-suite) so one BENCH file can hold
-	// serial and sharded rows side by side without lying about either.
-	ShardRings   bool    `json:"shard_rings"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
+	Name         string  `json:"name"`
+	Iterations   int     `json:"iterations"`
 	NsPerOp      int64   `json:"ns_per_op"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
@@ -61,8 +51,7 @@ type BenchResult struct {
 
 // BenchSuite is the BENCH_<pr>.json document: the full scenario set from
 // one RunBenchSuite call, plus the environment that produced it, so
-// artifacts from different PRs are compared like for like. Per-row
-// configuration (ShardRings, GOMAXPROCS) lives on each BenchResult.
+// artifacts from different PRs are compared like for like.
 type BenchSuite struct {
 	GoVersion   string        `json:"go_version"`
 	GitCommit   string        `json:"git_commit,omitempty"`
@@ -86,11 +75,10 @@ func (s *BenchSuite) Result(name string) (BenchResult, bool) {
 // outside the measured region, and returns the per-iteration body; the
 // body returns the simulated cycles it covered.
 type benchScenario struct {
-	name      string
-	ops       uint64 // reference count per core at full size
-	fixed     bool   // ops not halved in Short mode
-	shardable bool   // also run a "<name>-shard" row with ShardRings on
-	setup     func(ops uint64, shard bool) (func() (uint64, error), func(), error)
+	name  string
+	ops   uint64 // reference count per core at full size
+	fixed bool   // ops not halved in Short mode
+	setup func(ops uint64) (func() (uint64, error), func(), error)
 }
 
 // benchScenarios returns the fixed scenario set, in run order.
@@ -101,9 +89,9 @@ func benchScenarios() []benchScenario {
 			// every algorithm over barnes, fft, SPECjbb and SPECweb.
 			// This is the suite's headline allocs/op number, so its
 			// size is fixed across Short and full runs.
-			name: "matrix-subset", ops: 800, fixed: true, shardable: true,
-			setup: func(ops uint64, shard bool) (func() (uint64, error), func(), error) {
-				opts := FigureOptions{OpsPerCore: ops, Seed: 1, Apps: []string{"barnes", "fft"}, ShardRings: shard}
+			name: "matrix-subset", ops: 800, fixed: true,
+			setup: func(ops uint64) (func() (uint64, error), func(), error) {
+				opts := FigureOptions{OpsPerCore: ops, Seed: 1, Apps: []string{"barnes", "fft"}}
 				return func() (uint64, error) {
 					m, err := RunMatrix(opts)
 					if err != nil {
@@ -121,17 +109,17 @@ func benchScenarios() []benchScenario {
 		},
 		{
 			// The largest machine of the scaling study: one 16-CMP run.
-			name: "scaling-16cmp", ops: 600, shardable: true,
-			setup: func(ops uint64, shard bool) (func() (uint64, error), func(), error) {
+			name: "scaling-16cmp", ops: 600,
+			setup: func(ops uint64) (func() (uint64, error), func(), error) {
 				opts := Options{
-					OpsPerCore: ops, Seed: 1, ShardRings: shard,
+					OpsPerCore: ops, Seed: 1,
 					Tweak: func(m *MachineConfig) {
 						m.NumCMPs = 16
 						m.TorusWidth, m.TorusHeight = 4, 4
 					},
 				}
 				return func() (uint64, error) {
-					res, err := Run(SupersetAgg, "barnes", opts)
+					res, err := Simulate(context.Background(), SupersetAgg, FromWorkload("barnes"), opts)
 					if err != nil {
 						return 0, err
 					}
@@ -143,7 +131,7 @@ func benchScenarios() []benchScenario {
 			// Trace-driven mode: replay a recorded SPECjbb trace. The
 			// trace is written once, outside the measured region.
 			name: "trace-replay", ops: 1000,
-			setup: func(ops uint64, shard bool) (func() (uint64, error), func(), error) {
+			setup: func(ops uint64) (func() (uint64, error), func(), error) {
 				dir, err := os.MkdirTemp("", "flexsnoop-bench")
 				if err != nil {
 					return nil, nil, err
@@ -154,7 +142,7 @@ func benchScenarios() []benchScenario {
 					return nil, nil, err
 				}
 				body := func() (uint64, error) {
-					res, err := RunTraceFile(Eager, path, Options{ShardRings: shard})
+					res, err := Simulate(context.Background(), Eager, FromTraceFile(path), Options{})
 					if err != nil {
 						return 0, err
 					}
@@ -170,17 +158,17 @@ func benchScenarios() []benchScenario {
 			// throughput record. Drop and delay rates are kept low enough
 			// that every transaction still completes.
 			name: "fault-injected", ops: 800,
-			setup: func(ops uint64, shard bool) (func() (uint64, error), func(), error) {
+			setup: func(ops uint64) (func() (uint64, error), func(), error) {
 				plan, err := ParseFaultPlan("kind=drop,rate=0.02,seed=7;kind=delay,rate=0.05,delay=80,seed=11")
 				if err != nil {
 					return nil, nil, err
 				}
 				opts := Options{
-					OpsPerCore: ops, Seed: 1, ShardRings: shard,
+					OpsPerCore: ops, Seed: 1,
 					Faults: plan, CheckEvery: 5000,
 				}
 				return func() (uint64, error) {
-					res, err := Run(SupersetAgg, "barnes", opts)
+					res, err := Simulate(context.Background(), SupersetAgg, FromWorkload("barnes"), opts)
 					if err != nil {
 						return 0, err
 					}
@@ -191,42 +179,18 @@ func benchScenarios() []benchScenario {
 	}
 }
 
-// benchRow is one measured row of the suite: a scenario plus the ring
-// execution mode it runs under.
-type benchRow struct {
-	sc    benchScenario
-	name  string
-	shard bool
-}
-
-// benchRows expands the scenario set into the suite's row list: every
-// scenario once in its default mode, plus a "<name>-shard" row for the
-// shardable simulation scenarios. With cfg.ShardRings every row is
-// sharded already, so the dedicated variants would be duplicates and are
-// skipped.
-func benchRows(cfg BenchConfig) []benchRow {
-	var rows []benchRow
-	for _, sc := range benchScenarios() {
-		rows = append(rows, benchRow{sc: sc, name: sc.name, shard: cfg.ShardRings})
-		if sc.shardable && !cfg.ShardRings {
-			rows = append(rows, benchRow{sc: sc, name: sc.name + "-shard", shard: true})
-		}
-	}
-	return rows
-}
-
-// BenchScenarios lists the row names RunBenchSuite produces by default,
-// in run order (shard variants included).
+// BenchScenarios lists the scenario names RunBenchSuite measures by
+// default, in run order.
 func BenchScenarios() []string {
 	var names []string
-	for _, row := range benchRows(BenchConfig{}) {
-		names = append(names, row.name)
+	for _, sc := range benchScenarios() {
+		names = append(names, sc.name)
 	}
 	return names
 }
 
-// RunBenchSuite measures every row (or the cfg.Scenarios subset, matched
-// by row name) with testing.Benchmark and returns the suite document for
+// RunBenchSuite measures every scenario (or the cfg.Scenarios subset)
+// with testing.Benchmark and returns the suite document for
 // BENCH_*.json.
 func RunBenchSuite(cfg BenchConfig) (*BenchSuite, error) {
 	want := map[string]bool{}
@@ -240,20 +204,19 @@ func RunBenchSuite(cfg BenchConfig) (*BenchSuite, error) {
 		Short:       cfg.Short,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, row := range benchRows(cfg) {
-		if len(want) > 0 && !want[row.name] {
+	for _, sc := range benchScenarios() {
+		if len(want) > 0 && !want[sc.name] {
 			continue
 		}
-		sc := row.sc
 		ops := sc.ops
 		if cfg.Short && !sc.fixed {
 			ops /= 2
 		}
-		body, cleanup, err := sc.setup(ops, row.shard)
+		body, cleanup, err := sc.setup(ops)
 		if err != nil {
-			return nil, fmt.Errorf("flexsnoop: bench %s setup: %w", row.name, err)
+			return nil, fmt.Errorf("flexsnoop: bench %s setup: %w", sc.name, err)
 		}
-		res, err := measureRow(cfg, row, body)
+		res, err := measureRow(cfg, sc.name, body)
 		if cleanup != nil {
 			cleanup()
 		}
@@ -265,33 +228,24 @@ func RunBenchSuite(cfg BenchConfig) (*BenchSuite, error) {
 	return suite, nil
 }
 
-// measureRow runs one row's testing.Benchmark, bracketed by the optional
-// per-row CPU profile (heap profile written after the measured region).
-func measureRow(cfg BenchConfig, row benchRow, body func() (uint64, error)) (BenchResult, error) {
+// measureRow runs one scenario's testing.Benchmark, bracketed by the
+// optional per-scenario CPU profile (heap profile written after the
+// measured region).
+func measureRow(cfg BenchConfig, name string, body func() (uint64, error)) (BenchResult, error) {
 	var cpuFile *os.File
 	if cfg.ProfileDir != "" {
 		if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {
 			return BenchResult{}, fmt.Errorf("flexsnoop: bench profile dir: %w", err)
 		}
-		f, err := os.Create(filepath.Join(cfg.ProfileDir, row.name+".cpu.prof"))
+		f, err := os.Create(filepath.Join(cfg.ProfileDir, name+".cpu.prof"))
 		if err != nil {
-			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", row.name, err)
+			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", name, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", row.name, err)
+			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", name, err)
 		}
 		cpuFile = f
-	}
-	// Shard rows measure the parallel dispatch path, which needs more
-	// than one P to overlap ring workers; on a single-CPU host the row
-	// runs with GOMAXPROCS=2 (time-sliced) rather than silently
-	// degenerating to serial scheduling.
-	procs := runtime.GOMAXPROCS(0)
-	if row.shard && procs < 2 {
-		procs = 2
-		prev := runtime.GOMAXPROCS(2)
-		defer runtime.GOMAXPROCS(prev)
 	}
 	var cycles uint64
 	var runErr error
@@ -310,19 +264,17 @@ func measureRow(cfg BenchConfig, row benchRow, body func() (uint64, error)) (Ben
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		cpuFile.Close()
-		if err := writeHeapProfile(filepath.Join(cfg.ProfileDir, row.name+".mem.prof")); err != nil {
-			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", row.name, err)
+		if err := writeHeapProfile(filepath.Join(cfg.ProfileDir, name+".mem.prof")); err != nil {
+			return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", name, err)
 		}
 	}
 	if runErr != nil {
-		return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", row.name, runErr)
+		return BenchResult{}, fmt.Errorf("flexsnoop: bench %s: %w", name, runErr)
 	}
 	nsOp := r.NsPerOp()
 	res := BenchResult{
-		Name:        row.name,
+		Name:        name,
 		Iterations:  r.N,
-		ShardRings:  row.shard,
-		GoMaxProcs:  procs,
 		NsPerOp:     nsOp,
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),

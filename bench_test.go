@@ -12,6 +12,7 @@ package flexsnoop_test
 // the full-size versions.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -162,7 +163,7 @@ func BenchmarkFig11Accuracy(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var refs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := flexsnoop.Run(flexsnoop.Eager, "fft", flexsnoop.Options{OpsPerCore: 1000})
+		res, err := flexsnoop.Simulate(context.Background(), flexsnoop.Eager, flexsnoop.FromWorkload("fft"), flexsnoop.Options{OpsPerCore: 1000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func BenchmarkAblationRings(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.Eager, "radix", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.Eager, flexsnoop.FromWorkload("radix"), flexsnoop.Options{
 					OpsPerCore: 1200, NumRings: rings,
 				})
 				if err != nil {
@@ -204,7 +205,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "specjbb", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("specjbb"), flexsnoop.Options{
 					OpsPerCore: 1500, DisablePrefetch: off,
 				})
 				if err != nil {
@@ -230,7 +231,7 @@ func BenchmarkAblationExcludeCache(b *testing.B) {
 		b.Run(pc.Name, func(b *testing.B) {
 			var fp float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.SupersetCon, "barnes", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetCon, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 					OpsPerCore: 1200, Predictor: &pc,
 				})
 				if err != nil {
@@ -252,7 +253,7 @@ func BenchmarkAblationDynamicGovernor(b *testing.B) {
 		b.Run(map[float64]string{1e9: "budget-unbounded", 10: "budget-10", 0.5: "budget-tight"}[budget], func(b *testing.B) {
 			var aggFrac float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.DynamicSuperset, "barnes", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.DynamicSuperset, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 					OpsPerCore: 1200, GovernorBudgetNJPerKCycle: budget,
 				})
 				if err != nil {
@@ -275,7 +276,7 @@ func BenchmarkAblationMLP(b *testing.B) {
 		b.Run(map[int]string{1: "blocking-loads", 4: "mlp-4"}[mlp], func(b *testing.B) {
 			var cycles float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "ocean", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("ocean"), flexsnoop.Options{
 					OpsPerCore: 1200,
 					Tweak:      func(m *flexsnoop.MachineConfig) { m.MaxOutstandingLoads = mlp },
 				})
@@ -299,7 +300,7 @@ func BenchmarkAblationLocalMaster(b *testing.B) {
 		b.Run(map[bool]string{false: "with-SL", true: "without-SL"}[off], func(b *testing.B) {
 			var ringReads float64
 			for i := 0; i < b.N; i++ {
-				res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", flexsnoop.Options{
+				res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 					OpsPerCore: 1200,
 					Tweak:      func(m *flexsnoop.MachineConfig) { m.DisableLocalMaster = off },
 				})
@@ -337,7 +338,7 @@ func BenchmarkScalingStudy(b *testing.B) {
 func BenchmarkAlternativeProtocols(b *testing.B) {
 	var cycles float64
 	for i := 0; i < b.N; i++ {
-		res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", flexsnoop.Options{OpsPerCore: 1200})
+		res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: 1200})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 	"flexsnoop"
 )
 
-// TestConcurrentCancellation hammers RunContext from many goroutines
+// TestConcurrentCancellation hammers Simulate from many goroutines
 // while cancelling a random subset mid-flight, under -race in CI. It
 // checks the three properties cancellation must preserve:
 //
@@ -33,12 +33,12 @@ func TestConcurrentCancellation(t *testing.T) {
 	configs := []cfg{
 		{flexsnoop.SupersetAgg, flexsnoop.Options{OpsPerCore: 1500, Seed: 11}},
 		{flexsnoop.Subset, flexsnoop.Options{OpsPerCore: 1500, Seed: 12}},
-		{flexsnoop.Lazy, flexsnoop.Options{OpsPerCore: 1500, Seed: 13, ShardRings: true}},
-		{flexsnoop.Exact, flexsnoop.Options{OpsPerCore: 1500, Seed: 14, ShardRings: true}},
+		{flexsnoop.Lazy, flexsnoop.Options{OpsPerCore: 1500, Seed: 13}},
+		{flexsnoop.Exact, flexsnoop.Options{OpsPerCore: 1500, Seed: 14}},
 	}
 	baseline := make([]flexsnoop.Result, len(configs))
 	for i, c := range configs {
-		res, err := flexsnoop.Run(c.alg, "fft", c.opts)
+		res, err := flexsnoop.Simulate(context.Background(), c.alg, flexsnoop.FromWorkload("fft"), c.opts)
 		if err != nil {
 			t.Fatalf("baseline %d: %v", i, err)
 		}
@@ -77,7 +77,7 @@ func TestConcurrentCancellation(t *testing.T) {
 					defer timer.Stop()
 					defer cancel()
 				}
-				res, err := flexsnoop.RunContext(ctx, c.alg, "fft", c.opts)
+				res, err := flexsnoop.Simulate(ctx, c.alg, flexsnoop.FromWorkload("fft"), c.opts)
 				switch {
 				case err == nil:
 					// The cancel may have fired after completion; either
@@ -101,7 +101,7 @@ func TestConcurrentCancellation(t *testing.T) {
 	// cancelled run that returned corrupted objects to the hot-path pools
 	// would poison later runs.
 	for i, c := range configs {
-		res, err := flexsnoop.Run(c.alg, "fft", c.opts)
+		res, err := flexsnoop.Simulate(context.Background(), c.alg, flexsnoop.FromWorkload("fft"), c.opts)
 		if err != nil {
 			t.Fatalf("post-storm rerun %d: %v", i, err)
 		}
@@ -110,8 +110,8 @@ func TestConcurrentCancellation(t *testing.T) {
 		}
 	}
 
-	// No goroutine leaks: cancelled runs must unwind their workers
-	// (sharded arbitration included).
+	// No goroutine leaks: cancelled runs must unwind whatever they
+	// started.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

@@ -3,10 +3,9 @@
 #
 #   ./ci.sh        vet + build + full test suite + race-detector passes
 #
-# The race passes re-run the library and root tests (including the
-# telemetry determinism tests) under -race, plus a short-mode pass over
-# the sharded-ring determinism tests, catching any data race a parallel
-# driver, shard worker or telemetry probe might introduce.
+# The race pass re-runs the library and root tests (including the
+# telemetry determinism tests) under -race, catching any data race a
+# parallel driver or telemetry probe might introduce.
 set -eu
 cd "$(dirname "$0")"
 
@@ -33,9 +32,6 @@ go test -shuffle=on ./...
 echo "== go test -race =="
 go test -race ./internal/... .
 
-echo "== go test -race -run Shard (short) =="
-go test -race -short -run Shard ./internal/...
-
 echo "== fault-matrix smoke =="
 # Three documented fault plans x two algorithms, each with the continuous
 # invariant checker armed: every run must complete with zero violations.
@@ -53,7 +49,8 @@ done
 echo "== service smoke =="
 # End-to-end daemon check: build ringsimd, serve on loopback, submit the
 # same job twice (second must hit the result cache), SIGTERM must drain
-# cleanly within the deadline. The test execs the built binary.
+# cleanly within the deadline even while a client holds a connection it
+# never used. The test execs the built binary.
 go test -run TestRingsimdSmoke -count=1 ./cmd/ringsimd
 
 echo "== federation smoke =="
@@ -82,9 +79,7 @@ go test -race -run TestRingsimdChaosKill9 -count=1 -timeout 10m ./cmd/ringsimd
 echo "== bench (short) =="
 # Record this PR's benchmark numbers; cmd/bench prints comparisons
 # against every prior BENCH_*.json and fails on a >25% throughput
-# regression versus the newest one. The default suite includes the
-# matrix-subset-shard and scaling-16cmp-shard rows, so this single
-# invocation gates both serial and ShardRings throughput.
+# regression versus the newest one.
 go run ./cmd/bench -short -maxregress 25 -out BENCH_9.json
 
 echo "CI OK"

@@ -5,14 +5,12 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_3.json] [-short] [-shard] [-run matrix-subset,...]
+//	bench [-out BENCH_3.json] [-short] [-run matrix-subset,...]
 //	      [-maxregress 25] [-profiledir prof/] [-list]
 //
 // With -maxregress N, bench exits non-zero when any scenario's simulated
 // cycles-per-second throughput drops more than N percent against the
-// newest prior artifact — the ci.sh regression gate. The default suite
-// already includes "-shard" rows for the shardable scenarios, so one
-// gated run covers serial and sharded execution.
+// newest prior artifact — the ci.sh regression gate.
 package main
 
 import (
@@ -33,11 +31,10 @@ import (
 var (
 	outFlag    = flag.String("out", "", "output JSON file (default: print to stdout)")
 	shortFlag  = flag.Bool("short", false, "short mode: smaller scenarios (matrix-subset stays full size)")
-	shardFlag  = flag.Bool("shard", false, "force ShardRings on for every row (the default suite already has dedicated -shard rows)")
-	runFlag    = flag.String("run", "", "comma-separated row subset (default: all; shard variants are named <scenario>-shard)")
-	listFlag   = flag.Bool("list", false, "list scenario rows, then exit")
+	runFlag    = flag.String("run", "", "comma-separated scenario subset (default: all)")
+	listFlag   = flag.Bool("list", false, "list scenarios, then exit")
 	maxRegress = flag.Float64("maxregress", 0, "fail when sim_cycles_per_sec drops more than this percent vs the newest prior artifact (0 = off)")
-	profileDir = flag.String("profiledir", "", "write per-row CPU and heap profiles (<dir>/<row>.cpu.prof, <dir>/<row>.mem.prof)")
+	profileDir = flag.String("profiledir", "", "write per-scenario CPU and heap profiles (<dir>/<scenario>.cpu.prof, <dir>/<scenario>.mem.prof)")
 )
 
 func main() {
@@ -57,7 +54,6 @@ func main() {
 func run() error {
 	cfg := flexsnoop.BenchConfig{
 		Short:      *shortFlag,
-		ShardRings: *shardFlag,
 		ProfileDir: *profileDir,
 		GitCommit:  gitCommit(),
 	}
@@ -111,9 +107,9 @@ func printSuite(s *flexsnoop.BenchSuite) {
 	t := stats.NewTable(
 		fmt.Sprintf("Benchmark suite (%s, short=%v, gomaxprocs=%d)",
 			s.GoVersion, s.Short, s.GoMaxProcs),
-		"Scenario", "shard", "ns/op", "allocs/op", "B/op", "sim cycles", "Mcycles/s")
+		"Scenario", "ns/op", "allocs/op", "B/op", "sim cycles", "Mcycles/s")
 	for _, r := range s.Results {
-		t.AddRowf(r.Name, fmt.Sprintf("%v", r.ShardRings),
+		t.AddRowf(r.Name,
 			fmt.Sprintf("%d", r.NsPerOp), fmt.Sprintf("%d", r.AllocsPerOp),
 			fmt.Sprintf("%d", r.BytesPerOp), fmt.Sprintf("%d", r.SimCycles),
 			r.CyclesPerSec/1e6)

@@ -45,7 +45,6 @@ var (
 	checkFlag  = flag.Bool("check", false, "run the coherence invariant checker")
 	replayFlag = flag.String("replay", "", "replay a trace file instead of a synthetic workload")
 	budgetFlag = flag.Float64("budget", 0, "DynamicSuperset energy budget (nJ per 1000 cycles)")
-	shardFlag  = flag.Bool("shard", false, "arbitrate per-ring transmit batches on worker goroutines (cycle-identical results)")
 	listFlag   = flag.Bool("list", false, "list workloads and predictors, then exit")
 	jsonFlag   = flag.Bool("json", false, "emit the result as JSON instead of a table")
 
@@ -111,7 +110,6 @@ func run() error {
 		DisablePrefetch:           *noPrefetch,
 		NumRings:                  *ringsFlag,
 		GovernorBudgetNJPerKCycle: *budgetFlag,
-		ShardRings:                *shardFlag,
 		CheckEvery:                *checkEvery,
 		WatchdogWindow:            *watchdog,
 		WatchdogDegrade:           *degrade,

@@ -185,7 +185,12 @@ func run() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
-			return fmt.Errorf("http shutdown: %w", err)
+			// Every job is terminal after Drain, so what is left are
+			// connections with no finished request, such as one that
+			// never sent anything (Shutdown counts those as active for
+			// their first 5 s). Closing them loses no work.
+			logger.Printf("http shutdown: %v; closing remaining connections", err)
+			httpSrv.Close()
 		}
 		logger.Printf("drained, exiting")
 		return nil

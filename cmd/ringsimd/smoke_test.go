@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,8 +18,8 @@ import (
 // TestRingsimdSmoke exercises the built daemon end to end: start on an
 // ephemeral loopback port, submit the same job twice (second must be a
 // cache hit, with one simulation run visible in /statsz), then SIGTERM
-// and require a clean drain within the deadline. ci.sh runs this as the
-// service smoke test.
+// while a client holds a connection it never used, and require a clean
+// drain within the deadline. ci.sh runs this as the service smoke test.
 func TestRingsimdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test builds and execs the daemon")
@@ -92,6 +93,13 @@ func TestRingsimdSmoke(t *testing.T) {
 		t.Errorf("statsz: hits=%d runs=%d, want >=1 hit and exactly 1 run",
 			stats.CacheHits, stats.RunsCompleted)
 	}
+
+	// A connection that never sends a request must not fail the drain.
+	idle, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer idle.Close()
 
 	// Graceful drain: SIGTERM must exit 0 within the deadline.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

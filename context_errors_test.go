@@ -20,9 +20,9 @@ import (
 )
 
 func TestErrUnknownWorkloadIs(t *testing.T) {
-	_, err := flexsnoop.Run(flexsnoop.Lazy, "no-such-app", flexsnoop.Options{OpsPerCore: 10})
+	_, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("no-such-app"), flexsnoop.Options{OpsPerCore: 10})
 	if !errors.Is(err, flexsnoop.ErrUnknownWorkload) {
-		t.Errorf("Run(unknown workload) = %v, want ErrUnknownWorkload", err)
+		t.Errorf("Simulate(unknown workload) = %v, want ErrUnknownWorkload", err)
 	}
 	if _, err := flexsnoop.WorkloadByName("no-such-app"); !errors.Is(err, flexsnoop.ErrUnknownWorkload) {
 		t.Errorf("WorkloadByName = %v, want ErrUnknownWorkload", err)
@@ -42,14 +42,14 @@ func TestErrUnknownAlgorithmIs(t *testing.T) {
 func TestErrBadConfigIs(t *testing.T) {
 	// Governor budget on a non-adaptive algorithm is a configuration
 	// error, caught before any simulation runs.
-	_, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 10, GovernorBudgetNJPerKCycle: 5,
 	})
 	if !errors.Is(err, flexsnoop.ErrBadConfig) {
 		t.Errorf("governor on Lazy = %v, want ErrBadConfig", err)
 	}
 	// Wrong AlgorithmsPerNode length.
-	_, err = flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err = flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore:        10,
 		AlgorithmsPerNode: []flexsnoop.Algorithm{flexsnoop.Lazy, flexsnoop.Eager},
 	})
@@ -73,7 +73,7 @@ func TestErrBadTraceIs(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("definitely not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, corrupt, flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(corrupt), flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
 		t.Errorf("corrupt trace = %v, want ErrBadTrace", err)
 	}
 
@@ -82,7 +82,7 @@ func TestErrBadTraceIs(t *testing.T) {
 	if err := os.WriteFile(badGz, []byte("not gzip either"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, badGz, flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(badGz), flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
 		t.Errorf("bad gzip envelope = %v, want ErrBadTrace", err)
 	}
 
@@ -110,7 +110,7 @@ func TestErrBadTraceIs(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, truncated, flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(truncated), flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
 		t.Errorf("truncated trace = %v, want ErrBadTrace", err)
 	}
 
@@ -134,7 +134,7 @@ func TestErrBadTraceIs(t *testing.T) {
 	if err := mf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flexsnoop.RunTraceFile(flexsnoop.Lazy, mismatch, flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromTraceFile(mismatch), flexsnoop.Options{}); !errors.Is(err, flexsnoop.ErrBadTrace) {
 		t.Errorf("3-stream trace on 8-CMP machine = %v, want ErrBadTrace", err)
 	}
 }
@@ -142,9 +142,9 @@ func TestErrBadTraceIs(t *testing.T) {
 func TestRunContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := flexsnoop.RunContext(ctx, flexsnoop.Lazy, "fft", flexsnoop.Options{OpsPerCore: 200})
+	_, err := flexsnoop.Simulate(ctx, flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{OpsPerCore: 200})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext(cancelled) = %v, want context.Canceled", err)
+		t.Fatalf("Simulate(cancelled) = %v, want context.Canceled", err)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestRunContextCancelIsPrompt(t *testing.T) {
 	start := make(chan struct{})
 	go func() {
 		close(start)
-		_, err := flexsnoop.RunContext(ctx, flexsnoop.Eager, "specjbb", flexsnoop.Options{OpsPerCore: 200_000})
+		_, err := flexsnoop.Simulate(ctx, flexsnoop.Eager, flexsnoop.FromWorkload("specjbb"), flexsnoop.Options{OpsPerCore: 200_000})
 		errc <- err
 	}()
 	<-start
@@ -175,16 +175,16 @@ func TestRunContextCancelIsPrompt(t *testing.T) {
 
 func TestRunContextDoesNotPerturbDeterminism(t *testing.T) {
 	// A run under a live-but-never-cancelled context, and a run after an
-	// aborted run, must both be cycle-identical to a plain Run.
+	// aborted run, must both be cycle-identical to a Background run.
 	opts := flexsnoop.Options{OpsPerCore: 400, Seed: 9}
-	base, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", opts)
+	base, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx, err := flexsnoop.RunContext(ctx, flexsnoop.SupersetAgg, "barnes", opts)
+	withCtx, err := flexsnoop.Simulate(ctx, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +195,10 @@ func TestRunContextDoesNotPerturbDeterminism(t *testing.T) {
 	// Abort one run, then check a fresh run still matches.
 	aborted, abort := context.WithCancel(context.Background())
 	abort()
-	if _, err := flexsnoop.RunContext(aborted, flexsnoop.SupersetAgg, "barnes", opts); !errors.Is(err, context.Canceled) {
+	if _, err := flexsnoop.Simulate(aborted, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted run returned %v", err)
 	}
-	again, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", opts)
+	again, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +238,7 @@ func TestRunBenchSuiteSmoke(t *testing.T) {
 	if r.AllocsPerOp <= 0 {
 		t.Errorf("allocs/op = %d; memory accounting missing", r.AllocsPerOp)
 	}
-	// 4 scenarios plus the matrix-subset-shard and scaling-16cmp-shard
-	// variant rows.
-	if len(flexsnoop.BenchScenarios()) != 6 {
-		t.Errorf("scenario set = %v, want 6 rows", flexsnoop.BenchScenarios())
+	if len(flexsnoop.BenchScenarios()) != 4 {
+		t.Errorf("scenario set = %v, want 4 scenarios", flexsnoop.BenchScenarios())
 	}
 }

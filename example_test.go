@@ -38,10 +38,10 @@ func ExampleWorkloads() {
 	// 13 workloads; first: barnes last: specweb
 }
 
-// Running a simulation returns the execution time and the Figure 6-9
-// metrics for that algorithm/workload pair.
-func ExampleRun() {
-	res, err := flexsnoop.Run(flexsnoop.Eager, "water-sp", flexsnoop.Options{
+// Simulate runs one algorithm on one workload and returns the execution
+// time and the Figure 6-9 metrics for that algorithm/workload pair.
+func ExampleSimulate() {
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.Eager, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{
 		OpsPerCore: 300, Seed: 1,
 	})
 	if err != nil {
@@ -55,14 +55,14 @@ func ExampleRun() {
 	// snoops/request=7 segments/request=15
 }
 
-// RunContext bounds a simulation with a context: the run stops between
-// events as soon as the context is done, and the returned error wraps the
-// context's error. A run whose context never fires is cycle-identical to
-// a plain Run.
-func ExampleRunContext() {
+// The context bounds a simulation: the run stops between events as soon
+// as the context is done, and the returned error wraps the context's
+// error. A run whose context never fires is cycle-identical to one under
+// context.Background.
+func ExampleSimulate_context() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	res, err := flexsnoop.RunContext(ctx, flexsnoop.Eager, "water-sp", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(ctx, flexsnoop.Eager, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{
 		OpsPerCore: 300, Seed: 1,
 	})
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,15 +20,16 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const wl = "radiosity"
 	const ops = 2500
 
 	// Endpoints: the two static algorithms.
-	agg, err := flexsnoop.Run(flexsnoop.SupersetAgg, wl, flexsnoop.Options{OpsPerCore: ops})
+	agg, err := flexsnoop.Simulate(ctx, flexsnoop.SupersetAgg, flexsnoop.FromWorkload(wl), flexsnoop.Options{OpsPerCore: ops})
 	if err != nil {
 		log.Fatal(err)
 	}
-	con, err := flexsnoop.Run(flexsnoop.SupersetCon, wl, flexsnoop.Options{OpsPerCore: ops})
+	con, err := flexsnoop.Simulate(ctx, flexsnoop.SupersetCon, flexsnoop.FromWorkload(wl), flexsnoop.Options{OpsPerCore: ops})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 		conRate * 0.8,
 	}
 	for _, budget := range budgets {
-		res, err := flexsnoop.Run(flexsnoop.DynamicSuperset, wl, flexsnoop.Options{
+		res, err := flexsnoop.Simulate(ctx, flexsnoop.DynamicSuperset, flexsnoop.FromWorkload(wl), flexsnoop.Options{
 			OpsPerCore:                ops,
 			GovernorBudgetNJPerKCycle: budget,
 		})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	workloads := []string{"barnes", "specjbb", "specweb"}
 	const ops = 2500
 
@@ -24,7 +26,7 @@ func main() {
 			"Algorithm", "Snoops/req", "Segments/req", "Cycles (norm)", "Energy (norm)")
 		var lazyCycles, lazyEnergy float64
 		for _, alg := range flexsnoop.Algorithms() {
-			res, err := flexsnoop.Run(alg, wl, flexsnoop.Options{OpsPerCore: ops})
+			res, err := flexsnoop.Simulate(ctx, alg, flexsnoop.FromWorkload(wl), flexsnoop.Options{OpsPerCore: ops})
 			if err != nil {
 				log.Fatal(err)
 			}

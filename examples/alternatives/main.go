@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 const ops = 2500
 
 func main() {
+	ctx := context.Background()
 	prof, err := workload.ByName("barnes")
 	if err != nil {
 		log.Fatal(err)
@@ -30,7 +32,7 @@ func main() {
 		"Approach", "Cycles", "Avg read-miss latency", "Coherence tag lookups", "Notes")
 
 	// Embedded ring with the paper's choice algorithm.
-	ring, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", flexsnoop.Options{OpsPerCore: ops})
+	ring, err := flexsnoop.Simulate(ctx, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: ops})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func main() {
 		fmt.Sprintf("%d", ring.Stats.ReadSnoopOps+ring.Stats.WriteSnoopOps),
 		"snoops filtered by supplier predictor")
 
-	lazy, err := flexsnoop.Run(flexsnoop.Lazy, "barnes", flexsnoop.Options{OpsPerCore: ops})
+	lazy, err := flexsnoop.Simulate(ctx, flexsnoop.Lazy, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: ops})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The design space at the paper's measured predictor quality.
 	fmt.Println("Figure 4: design space, 8 CMPs (analytical)")
 	for _, fp := range []float64{0.1, 0.3, 0.5} {
@@ -37,7 +39,7 @@ func main() {
 	fmt.Println("validating against simulation (barnes, 2000 refs/core)...")
 	sim := stats.NewBarChart("measured snoop operations per read request:")
 	for _, alg := range flexsnoop.Algorithms() {
-		res, err := flexsnoop.Run(alg, "barnes", flexsnoop.Options{OpsPerCore: 2000})
+		res, err := flexsnoop.Simulate(ctx, alg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: 2000})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,9 +13,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Simulate the paper's choice high-performance algorithm (SupersetAgg
 	// with the 7.3-KByte per-node predictor) on a SPLASH-2-like workload.
-	res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "barnes", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(ctx, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{
 		OpsPerCore: 3000,
 	})
 	if err != nil {
@@ -31,7 +33,7 @@ func main() {
 		res.Stats.LocalSupplies, res.Stats.CacheSupplies, res.Stats.MemorySupplies)
 
 	// Compare against the Lazy baseline on the same streams.
-	lazy, err := flexsnoop.Run(flexsnoop.Lazy, "barnes", flexsnoop.Options{OpsPerCore: 3000})
+	lazy, err := flexsnoop.Simulate(ctx, flexsnoop.Lazy, flexsnoop.FromWorkload("barnes"), flexsnoop.Options{OpsPerCore: 3000})
 	if err != nil {
 		log.Fatal(err)
 	}

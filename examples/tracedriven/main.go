@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "flexsnoop-trace")
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +41,7 @@ func main() {
 	for _, alg := range []flexsnoop.Algorithm{
 		flexsnoop.Lazy, flexsnoop.Eager, flexsnoop.SupersetCon, flexsnoop.SupersetAgg,
 	} {
-		res, err := flexsnoop.RunTraceFile(alg, path, flexsnoop.Options{})
+		res, err := flexsnoop.Simulate(ctx, alg, flexsnoop.FromTraceFile(path), flexsnoop.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,9 +55,6 @@ type FigureOptions struct {
 	// simulations stop between events, and no further jobs launch. A nil
 	// or Background context costs nothing.
 	Context context.Context
-	// ShardRings enables Options.ShardRings for every simulation the
-	// driver runs (cycle-identical results; see Options.ShardRings).
-	ShardRings bool
 	// Faults arms deterministic fault injection for every simulation the
 	// driver runs (see Options.Faults). Figures regenerated under faults
 	// measure the hardened protocol, not the paper's fault-free numbers.
@@ -257,7 +254,7 @@ func RunMatrix(opts FigureOptions) (*Matrix, error) {
 				tel = o.TelemetryFor(alg, prof.Name)
 			}
 			jobs = append(jobs, poolJob{label: fmt.Sprintf("%v/%s", alg, prof.Name), run: func() error {
-				res, err := o.runCell(o.ctx(), alg, prof, Options{OpsPerCore: o.OpsPerCore, Seed: o.Seed, Telemetry: tel, ShardRings: o.ShardRings, Faults: o.Faults, CheckEvery: o.CheckEvery})
+				res, err := o.runCell(o.ctx(), alg, prof, Options{OpsPerCore: o.OpsPerCore, Seed: o.Seed, Telemetry: tel, Faults: o.Faults, CheckEvery: o.CheckEvery})
 				if err != nil {
 					return fmt.Errorf("flexsnoop: %v on %s: %w", alg, prof.Name, err)
 				}
@@ -602,7 +599,6 @@ func RunFaultMatrix(workloadName string, scenarios []FaultScenario, opts FigureO
 					res, err := Simulate(o.ctx(), alg, FromProfile(prof), Options{
 						OpsPerCore: o.OpsPerCore, Seed: o.Seed,
 						Faults: sc.Plan, CheckEvery: checkEvery,
-						ShardRings: o.ShardRings,
 					})
 					if err != nil {
 						return fmt.Errorf("flexsnoop: fault matrix %s/%v on %s: %w",

@@ -2,6 +2,7 @@ package flexsnoop_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // faultOpts builds one run's options with a parsed fault plan and a
 // JSONL telemetry trace capturing the run's event fingerprint.
-func faultOpts(t *testing.T, spec string, shard bool, trace *bytes.Buffer) flexsnoop.Options {
+func faultOpts(t *testing.T, spec string, trace *bytes.Buffer) flexsnoop.Options {
 	t.Helper()
 	plan, err := flexsnoop.ParseFaultPlan(spec)
 	if err != nil {
@@ -21,7 +22,6 @@ func faultOpts(t *testing.T, spec string, shard bool, trace *bytes.Buffer) flexs
 		OpsPerCore: 400, Seed: 7,
 		Faults:     plan,
 		CheckEvery: 2000,
-		ShardRings: shard,
 	}
 	if trace != nil {
 		opts.Telemetry = &flexsnoop.TelemetryOptions{
@@ -33,16 +33,15 @@ func faultOpts(t *testing.T, spec string, shard bool, trace *bytes.Buffer) flexs
 
 // TestFaultDeterminism pins the fault layer's reproducibility contract:
 // the same seed and the same plan give bit-identical final statistics
-// and a byte-identical telemetry fingerprint, in serial mode and with
-// sharded ring arbitration.
+// and a byte-identical telemetry fingerprint.
 func TestFaultDeterminism(t *testing.T) {
 	const spec = "kind=drop,rate=0.05,seed=3;kind=delay,rate=0.1,delay=120,seed=9;kind=dup,rate=0.03,seed=5"
-	var traceA, traceB, traceC bytes.Buffer
-	a, err := flexsnoop.Run(flexsnoop.SupersetAgg, "water-sp", faultOpts(t, spec, false, &traceA))
+	var traceA, traceB bytes.Buffer
+	a, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("water-sp"), faultOpts(t, spec, &traceA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := flexsnoop.Run(flexsnoop.SupersetAgg, "water-sp", faultOpts(t, spec, false, &traceB))
+	b, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("water-sp"), faultOpts(t, spec, &traceB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +50,6 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(traceA.Bytes(), traceB.Bytes()) {
 		t.Fatal("identical faulty runs produced different telemetry traces")
-	}
-	c, err := flexsnoop.Run(flexsnoop.SupersetAgg, "water-sp", faultOpts(t, spec, true, &traceC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cycles != c.Cycles || a.Stats != c.Stats || a.EnergyNJ != c.EnergyNJ {
-		t.Fatalf("sharded faulty run diverged from serial: %d vs %d cycles", c.Cycles, a.Cycles)
-	}
-	if !bytes.Equal(traceA.Bytes(), traceC.Bytes()) {
-		t.Fatal("sharded faulty run produced a different telemetry trace")
 	}
 	if a.Stats.FaultDrops == 0 || a.Stats.FaultDelays == 0 || a.Stats.FaultDups == 0 {
 		t.Errorf("fault plan injected nothing: drops=%d delays=%d dups=%d",
@@ -80,7 +69,7 @@ func TestFaultPlansComplete(t *testing.T) {
 	}
 	for _, alg := range []flexsnoop.Algorithm{flexsnoop.Lazy, flexsnoop.SupersetAgg} {
 		for _, p := range plans {
-			res, err := flexsnoop.Run(alg, "fft", faultOpts(t, p.spec, false, nil))
+			res, err := flexsnoop.Simulate(context.Background(), alg, flexsnoop.FromWorkload("fft"), faultOpts(t, p.spec, nil))
 			if err != nil {
 				t.Errorf("%v/%s: %v", alg, p.name, err)
 				continue
@@ -118,8 +107,8 @@ func TestFaultMatrixDriver(t *testing.T) {
 // of very large delays (beyond the deadline) forces timeouts and
 // retransmits, and the run must still complete with coherent state.
 func TestTimeoutRecovery(t *testing.T) {
-	res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "fft",
-		faultOpts(t, "kind=delay,rate=0.02,delay=20000,seed=3", false, nil))
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("fft"),
+		faultOpts(t, "kind=delay,rate=0.02,delay=20000,seed=3", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +130,7 @@ func TestWatchdogLivelock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	_, err = flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	_, err = flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 200, Seed: 7,
 		Faults:         plan,
 		WatchdogWindow: 20000,
@@ -170,7 +159,7 @@ func TestWatchdogDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "fft", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		OpsPerCore: 200, Seed: 7,
 		Faults:          plan,
 		WatchdogWindow:  10000,
@@ -188,11 +177,11 @@ func TestWatchdogDegrade(t *testing.T) {
 // faults disabled, arming the watchdog and the continuous checker is
 // cycle-identical to a bare run.
 func TestRobustnessLayersCycleIdentical(t *testing.T) {
-	base, err := flexsnoop.Run(flexsnoop.SupersetCon, "water-sp", flexsnoop.Options{OpsPerCore: 400, Seed: 7})
+	base, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetCon, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{OpsPerCore: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed, err := flexsnoop.Run(flexsnoop.SupersetCon, "water-sp", flexsnoop.Options{
+	armed, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetCon, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{
 		OpsPerCore: 400, Seed: 7,
 		WatchdogWindow: 5000, CheckEvery: 1000,
 	})
@@ -241,15 +230,15 @@ func TestFaultOptionValidation(t *testing.T) {
 		t.Errorf("bad kind: got %v, want ErrFaultPlan", err)
 	}
 	bad := &flexsnoop.FaultPlan{Rules: []flexsnoop.FaultRule{{Kind: flexsnoop.FaultDrop, Rate: 2}}}
-	if _, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{Faults: bad}); !errors.Is(err, flexsnoop.ErrFaultPlan) {
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{Faults: bad}); !errors.Is(err, flexsnoop.ErrFaultPlan) {
 		t.Errorf("out-of-range rate: got %v, want ErrFaultPlan", err)
 	}
-	if _, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		Tweak: func(m *flexsnoop.MachineConfig) { m.RingLinkCycles = 0 },
 	}); !errors.Is(err, flexsnoop.ErrBadConfig) {
 		t.Errorf("zero link latency: got %v, want ErrBadConfig", err)
 	}
-	if _, err := flexsnoop.Run(flexsnoop.Lazy, "fft", flexsnoop.Options{
+	if _, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
 		Tweak: func(m *flexsnoop.MachineConfig) { m.RetryBackoffCycles = 0 },
 	}); !errors.Is(err, flexsnoop.ErrBadConfig) {
 		t.Errorf("zero retry backoff: got %v, want ErrBadConfig", err)

@@ -13,7 +13,7 @@ import (
 // fingerprintVersion prefixes every fingerprint so a future change to the
 // canonical encoding invalidates old cache keys instead of colliding with
 // them.
-const fingerprintVersion = "fsn1"
+const fingerprintVersion = "fsn2"
 
 // Fingerprint returns a canonical content hash of the options: two Options
 // values produce the same fingerprint exactly when they request the same
@@ -21,8 +21,8 @@ const fingerprintVersion = "fsn1"
 // as sorted key=value lines, so reordering struct fields or building the
 // value differently cannot change the hash) and covers the full
 // result-affecting configuration: workload sizing, seed, predictor
-// override, per-node algorithms, the complete fault plan, the robustness
-// knobs and the ShardRings flag.
+// override, per-node algorithms, the complete fault plan and the
+// robustness knobs.
 //
 // Two fields are deliberately excluded. Telemetry never perturbs a
 // simulation (results are cycle-identical with it on or off), so runs
@@ -61,7 +61,6 @@ func (o Options) canonicalLines() []string {
 		"check_every=" + strconv.FormatUint(o.CheckEvery, 10),
 		"watchdog_window=" + strconv.FormatUint(o.WatchdogWindow, 10),
 		"watchdog_degrade=" + strconv.FormatBool(o.WatchdogDegrade),
-		"shard_rings=" + strconv.FormatBool(o.ShardRings),
 		"tweak=" + strconv.FormatBool(o.Tweak != nil),
 	}
 	if o.Predictor == nil {
@@ -121,7 +120,7 @@ func canonFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Job is one simulation unit of work in the shape a job server submits:
 // an algorithm, a named workload, and the run options. It is the
-// content-addressable counterpart of a Run call.
+// content-addressable counterpart of a Simulate call.
 type Job struct {
 	Algorithm Algorithm
 	Workload  string
@@ -136,9 +135,6 @@ func (j Job) Fingerprint() string {
 		int(j.Algorithm), j.Workload, j.Options.Fingerprint())
 	return fingerprintVersion + ":" + hex.EncodeToString(h.Sum(nil))
 }
-
-// RunJob executes the job (see Simulate for the semantics).
-func RunJob(j Job) (Result, error) { return RunJobContext(nil, j) }
 
 // RunJobContext executes the job with cancellation. A nil ctx behaves
 // like context.Background.

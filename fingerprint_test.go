@@ -22,7 +22,7 @@ func fullOptions(t *testing.T) Options {
 		AlgorithmsPerNode: []Algorithm{
 			Lazy, Eager, Oracle, Subset, SupersetCon, SupersetAgg, Exact, Lazy},
 		Faults: faults, CheckEvery: 5000, WatchdogWindow: 100000,
-		WatchdogDegrade: true, ShardRings: true,
+		WatchdogDegrade: true,
 	}
 }
 
@@ -34,9 +34,9 @@ func fullOptions(t *testing.T) Options {
 // every persistent cache keyed on it would go stale — fix the encoding.
 func TestFingerprintGolden(t *testing.T) {
 	const (
-		wantZero = "fsn1:e2d75e83e58c39d1319eeefc44b9a7df493d159ac8562a1cc0e097460dab701f"
-		wantFull = "fsn1:f357a8f06fe16c872bb75c0cab8e1ccf138815ce94f3921b367345fc9e348a1d"
-		wantJob  = "fsn1:95984fdbda2f6180bab74ecb74e919713480b6cf969aa8c4f2422bfa0d2bcfee"
+		wantZero = "fsn2:df95efc80655df2a702a075fa7ca3a4c8ec42d6f8d8c5fe3513949622a4f6c72"
+		wantFull = "fsn2:45605c5a425cbab233cd9fa063bdb3b536fc063c5d762f825b3f15f835cf863a"
+		wantJob  = "fsn2:e836c4260ede67cd3f404d1ad4d92deb285e9c84cbc5da8f33ebe6d3145af694"
 	)
 	if got := (Options{}).Fingerprint(); got != wantZero {
 		t.Errorf("zero Options fingerprint drifted:\n got %s\nwant %s", got, wantZero)
@@ -60,7 +60,7 @@ func TestFingerprintSchemaComplete(t *testing.T) {
 		"CheckInvariants": true, "DisablePrefetch": true, "NumRings": true,
 		"GovernorBudgetNJPerKCycle": true, "WarmupCycles": true,
 		"AlgorithmsPerNode": true, "Faults": true, "CheckEvery": true,
-		"WatchdogWindow": true, "WatchdogDegrade": true, "ShardRings": true,
+		"WatchdogWindow": true, "WatchdogDegrade": true,
 		"Tweak": true, // opaque marker only; see Fingerprint docs
 	}
 	excluded := map[string]bool{
@@ -91,7 +91,6 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	variants := map[string]Options{
 		"ops":      {OpsPerCore: 301, Seed: 1},
 		"seed":     {OpsPerCore: 300, Seed: 2},
-		"shard":    {OpsPerCore: 300, Seed: 1, ShardRings: true},
 		"rings":    {OpsPerCore: 300, Seed: 1, NumRings: 3},
 		"warmup":   {OpsPerCore: 300, Seed: 1, WarmupCycles: 10},
 		"watchdog": {OpsPerCore: 300, Seed: 1, WatchdogWindow: 5},
@@ -129,7 +128,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	if tw.Fingerprint() == base.Fingerprint() {
 		t.Error("Tweak-bearing options collide with untweaked ones")
 	}
-	if !strings.HasPrefix(base.Fingerprint(), "fsn1:") {
+	if !strings.HasPrefix(base.Fingerprint(), "fsn2:") {
 		t.Errorf("fingerprint missing version prefix: %s", base.Fingerprint())
 	}
 }

@@ -1,6 +1,7 @@
 package flexsnoop_test
 
 import (
+	"context"
 	"testing"
 
 	"flexsnoop"
@@ -20,11 +21,11 @@ func TestGoldenDeterminism(t *testing.T) {
 	// First run establishes that repeated runs are bit-identical; the
 	// cross-run table below checks relative ordering without hardcoding
 	// absolute cycles (which shift with any calibration change).
-	base, err := flexsnoop.Run(flexsnoop.Lazy, "water-sp", flexsnoop.Options{OpsPerCore: 500, Seed: 7})
+	base, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{OpsPerCore: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := flexsnoop.Run(flexsnoop.Lazy, "water-sp", flexsnoop.Options{OpsPerCore: 500, Seed: 7})
+	again, err := flexsnoop.Simulate(context.Background(), flexsnoop.Lazy, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{OpsPerCore: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	var energy []float64
 	algs := []flexsnoop.Algorithm{flexsnoop.Lazy, flexsnoop.Eager, flexsnoop.SupersetCon, flexsnoop.SupersetAgg}
 	for _, alg := range algs {
-		res, err := flexsnoop.Run(alg, "water-sp", flexsnoop.Options{OpsPerCore: 500, Seed: 7})
+		res, err := flexsnoop.Simulate(context.Background(), alg, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{OpsPerCore: 500, Seed: 7})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -6,8 +6,8 @@
 // every injected fault hits a ring link segment between two gateways.
 // Decisions are a pure function of the plan and a sequential segment
 // counter, so a run with a fixed plan is bit-identical across repeats
-// and across the serial and sharded transmit stages (the injector is
-// only consulted from the serial merge stage, whose order is fixed).
+// (the injector is only consulted from the engine's transmit merge
+// stage, whose order is fixed).
 package fault
 
 import (

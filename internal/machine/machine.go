@@ -84,11 +84,6 @@ type Experiment struct {
 	// leaves the simulation cycle-identical.
 	Context context.Context
 
-	// ShardRings arbitrates the per-ring transmit batches on worker
-	// goroutines each cycle (see protocol.Options.ShardRings). Results
-	// are cycle-identical with it on or off.
-	ShardRings bool
-
 	// Faults, when it carries rules, injects deterministic link faults
 	// and arms the engine's timeout/retransmit recovery plus the
 	// no-progress watchdog (see protocol.Options.Faults). Nil leaves the
@@ -182,17 +177,15 @@ func Run(exp Experiment) (Result, error) {
 	}
 
 	eng, err := protocol.NewEngine(kern, protocol.Options{
-		Machine:    exp.Machine,
-		Predictor:  exp.Predictor,
-		PolicyFor:  func(i int) core.Policy { return policies[i] },
-		Energy:     exp.Energy,
-		ShardRings: exp.ShardRings,
-		Faults:     exp.Faults,
+		Machine:   exp.Machine,
+		Predictor: exp.Predictor,
+		PolicyFor: func(i int) core.Policy { return policies[i] },
+		Energy:    exp.Energy,
+		Faults:    exp.Faults,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	defer eng.Close()
 	if exp.CheckInvariants {
 		eng.SetInvariantChecker(64, func() error { return checker.Check(eng) })
 	}

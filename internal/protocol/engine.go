@@ -52,11 +52,10 @@ type Engine struct {
 	txnSeq ring.TxnID
 	byID   hotmap.Table[*txn]
 
-	// Cycle-batched transmit stage (see shard.go): per-ring buffered
-	// transmit intents, their total, and the optional worker pool.
+	// Cycle-batched transmit stage (see transmit.go): per-ring buffered
+	// transmit intents and their total.
 	txq     [][]txIntent
 	txTotal int
-	shard   *shardPool
 
 	stats Stats
 
@@ -174,14 +173,6 @@ type Options struct {
 	PolicyFor func(node int) core.Policy
 	Energy    energy.Params
 
-	// ShardRings runs the per-ring link-arbitration batches of the
-	// cycle-batched transmit stage on worker goroutines. Results are
-	// cycle-identical to a serial run: side effects merge in fixed
-	// ring-index order (see shard.go). It only helps when the machine
-	// embeds more than one ring; callers should Close the engine to
-	// release the workers.
-	ShardRings bool
-
 	// Faults, when it carries rules, injects deterministic link faults
 	// into the transmit stage and arms the engine's recovery machinery:
 	// per-transaction response deadlines with bounded exponential-backoff
@@ -219,9 +210,6 @@ func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
 	}
 	e.txq = make([][]txIntent, m.NumRings)
 	kern.EndCycle = e.flushTransmits
-	if opts.ShardRings && m.NumRings > 1 {
-		e.shard = newShardPool(e, m.NumRings)
-	}
 	e.deadlineCycles = timeoutDeadline(m, opts.Predictor)
 	if opts.Faults.Enabled() {
 		e.inj = fault.NewInjector(opts.Faults)

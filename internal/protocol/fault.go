@@ -12,9 +12,10 @@ import (
 // This file holds the engine's fault-injection hooks and the hardening
 // machinery that makes injected faults survivable:
 //
-//   - injectFaults consults the fault.Injector from the serial merge
-//     stage of flushTransmits (shard.go), so fault decisions land in the
-//     same deterministic order whether or not ShardRings is enabled.
+//   - injectFaults consults the fault.Injector from the merge stage of
+//     flushTransmits (transmit.go), which walks the cycle's segments in
+//     fixed ring-index order, so fault decisions land on the same
+//     segments in every run.
 //   - Dropped segments squash the requester immediately — the model is a
 //     link-level CRC that NACKs the sender — reusing the Section 2.1.4
 //     squash-and-retry machinery, so coherence invariants hold exactly as
@@ -86,7 +87,7 @@ func (e *Engine) QueuedTxns() int {
 }
 
 // injectFaults applies the fault plan to one arbitrated segment during
-// the serial merge stage. It returns true when the segment was dropped
+// the transmit merge stage. It returns true when the segment was dropped
 // (the caller skips delivery); otherwise it may stretch in.arrive or
 // schedule a duplicate delivery.
 func (e *Engine) injectFaults(ri int, r *ring.Ring, in *txIntent) (dropped bool) {

@@ -78,9 +78,9 @@ func (e *Engine) forward(ringIdx, from int, m *ring.Message) {
 
 // forwardAt is forward with an explicit earliest departure time (predictor
 // or snoop delays). The transmission is buffered as a txIntent and
-// arbitrated when the cycle's events have drained (see shard.go), so the
-// link-arbitration order within a cycle is the handler execution order
-// regardless of whether ShardRings is enabled.
+// arbitrated when the cycle's events have drained (see transmit.go), so
+// the link-arbitration order within a cycle is the handler execution
+// order.
 func (e *Engine) forwardAt(depart sim.Time, ringIdx, from int, m *ring.Message) {
 	if debugTxn != 0 && m.Txn == debugTxn {
 		fmt.Printf("[%d] fwd from=%d req=%v rep=%v found=%v sq=%v\n", e.now(), from, m.HasRequest, m.HasReply, m.Found, m.Squashed)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net"
 	"reflect"
 	"sync"
@@ -161,7 +162,7 @@ func TestFederationThroughFlakyProxy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		want[i], err = flexsnoop.RunJob(fj)
+		want[i], err = flexsnoop.RunJobContext(context.Background(), fj)
 		if err != nil {
 			t.Fatalf("baseline %d: %v", i, err)
 		}

@@ -278,7 +278,7 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Run submits (with backpressure retry), waits, and returns the Result —
-// the remote analogue of flexsnoop.RunContext. The Result is
+// the remote analogue of flexsnoop.RunJobContext. The Result is
 // bit-identical to an in-process run of the same configuration.
 func (c *Client) Run(ctx context.Context, spec JobSpec) (flexsnoop.Result, error) {
 	st, err := c.SubmitWait(ctx, spec)

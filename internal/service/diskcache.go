@@ -43,7 +43,7 @@ func newDiskCache(dir string) (*diskCache, error) {
 	return &diskCache{dir: dir}, nil
 }
 
-// path maps a fingerprint ("fsn1:hex...") to its file. The colon is
+// path maps a fingerprint ("fsn2:hex...") to its file. The colon is
 // replaced so the name is portable.
 func (d *diskCache) path(fp string) string {
 	return filepath.Join(d.dir, strings.ReplaceAll(fp, ":", "-")+".json")

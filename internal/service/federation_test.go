@@ -50,7 +50,7 @@ func TestFederationMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		baseline[i], err = flexsnoop.RunJob(fj)
+		baseline[i], err = flexsnoop.RunJobContext(context.Background(), fj)
 		if err != nil {
 			t.Fatalf("baseline %d: %v", i, err)
 		}
@@ -140,7 +140,7 @@ func TestFederationFailover(t *testing.T) {
 		t.Fatalf("job after failover = %q (error %q), want done", got.State, got.Error)
 	}
 
-	want, err := flexsnoop.RunJob(mustJob(t, smallSpec(500)))
+	want, err := flexsnoop.RunJobContext(context.Background(), mustJob(t, smallSpec(500)))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestFederationRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run via registered worker: %v", err)
 	}
-	want, err := flexsnoop.RunJob(mustJob(t, smallSpec(700)))
+	want, err := flexsnoop.RunJobContext(context.Background(), mustJob(t, smallSpec(700)))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}

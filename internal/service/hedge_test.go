@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -32,7 +33,7 @@ func TestHedgedDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec.Job: %v", err)
 	}
-	want, err := flexsnoop.RunJob(fj)
+	want, err := flexsnoop.RunJobContext(context.Background(), fj)
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}

@@ -366,7 +366,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec.Job: %v", err)
 	}
-	baseline, err := flexsnoop.RunJob(job)
+	baseline, err := flexsnoop.RunJobContext(context.Background(), job)
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -496,7 +496,7 @@ func TestChaosOverloadFlood(t *testing.T) {
 			if err != nil {
 				t.Fatalf("spec.Job: %v", err)
 			}
-			baseline, err := flexsnoop.RunJob(job)
+			baseline, err := flexsnoop.RunJobContext(context.Background(), job)
 			if err != nil {
 				t.Fatalf("baseline run: %v", err)
 			}

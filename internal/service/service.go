@@ -8,7 +8,7 @@
 // Determinism (reruns of one configuration are bit-identical) makes the
 // content-addressed cache exactly correct: a Result served from cache is
 // indistinguishable from a fresh simulation, so identical submissions —
-// concurrent or not — collapse into one run. Cancellation (RunContext
+// concurrent or not — collapse into one run. Cancellation (Simulate
 // stops between events) makes DELETE and graceful drain cheap: a
 // cancelled job never corrupts shared state because every run builds its
 // own machine.
@@ -1061,7 +1061,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		// Deadline passed: interrupt the runs still in flight. RunContext
+		// Deadline passed: interrupt the runs still in flight. Simulate
 		// stops between simulated events, so this converges promptly.
 		s.mu.Lock()
 		for _, ex := range s.execs {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestSubmitMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec.Job: %v", err)
 	}
-	want, err := flexsnoop.RunJob(fj)
+	want, err := flexsnoop.RunJobContext(context.Background(), fj)
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
@@ -117,12 +118,32 @@ func TestCacheHit(t *testing.T) {
 		t.Errorf("fingerprints differ: %s vs %s", st1.Fingerprint, st2.Fingerprint)
 	}
 
+	// "shard_rings" names a removed mode. Older clients still send it, so
+	// the wire accepts and ignores it: the same spec with the field set
+	// is the same job and is answered from the same cache entry.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"algorithm":"Subset","workload":"fft",` +
+		`"options":{"ops_per_core":200,"seed":1,"predictor":"Sub2k","shard_rings":true}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST with shard_rings: %v", err)
+	}
+	defer resp.Body.Close()
+	var st3 JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st3); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || !st3.Cached || st3.Fingerprint != st1.Fingerprint {
+		t.Fatalf("spec with shard_rings not served from cache: status %d, %+v", resp.StatusCode, st3)
+	}
+
 	stats := s.Stats()
 	if stats.RunsCompleted != 1 {
 		t.Errorf("RunsCompleted = %d, want 1 (cache must prevent the rerun)", stats.RunsCompleted)
 	}
-	if stats.CacheHits != 1 || stats.CacheEntries != 1 {
-		t.Errorf("cache hits=%d entries=%d, want 1/1", stats.CacheHits, stats.CacheEntries)
+	if stats.CacheHits != 2 || stats.CacheEntries != 1 {
+		t.Errorf("cache hits=%d entries=%d, want 2/1", stats.CacheHits, stats.CacheEntries)
 	}
 }
 
@@ -473,7 +494,7 @@ func TestConcurrentMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		res, err := flexsnoop.RunJob(fj)
+		res, err := flexsnoop.RunJobContext(context.Background(), fj)
 		if err != nil {
 			t.Fatalf("baseline %d: %v", i, err)
 		}

@@ -79,7 +79,11 @@ type SpecOptions struct {
 	CheckEvery                uint64   `json:"check_every,omitempty"`
 	WatchdogWindow            uint64   `json:"watchdog_window,omitempty"`
 	WatchdogDegrade           bool     `json:"watchdog_degrade,omitempty"`
-	ShardRings                bool     `json:"shard_rings,omitempty"`
+	// ShardRings is accepted and ignored. It once selected a sharded
+	// ring-arbitration mode whose results were bit-identical to serial
+	// runs; the mode is gone, and the field stays so that older clients
+	// that still send it are not rejected as carrying an unknown field.
+	ShardRings bool `json:"shard_rings,omitempty"`
 	// FaultMaxRetries bounds timeout retransmits per access when Faults
 	// is set (the plan grammar has no spelling for it; 0 = default 100).
 	FaultMaxRetries int `json:"fault_max_retries,omitempty"`
@@ -127,7 +131,6 @@ func (s JobSpec) Job() (flexsnoop.Job, error) {
 		CheckEvery:                s.Options.CheckEvery,
 		WatchdogWindow:            s.Options.WatchdogWindow,
 		WatchdogDegrade:           s.Options.WatchdogDegrade,
-		ShardRings:                s.Options.ShardRings,
 	}
 	if s.Options.Predictor != "" {
 		p, ok := flexsnoop.Predictors()[s.Options.Predictor]
@@ -196,7 +199,6 @@ func SpecFor(alg flexsnoop.Algorithm, workload string, o flexsnoop.Options) (Job
 			CheckEvery:                o.CheckEvery,
 			WatchdogWindow:            o.WatchdogWindow,
 			WatchdogDegrade:           o.WatchdogDegrade,
-			ShardRings:                o.ShardRings,
 		},
 	}
 	if o.Predictor != nil {

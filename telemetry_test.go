@@ -2,6 +2,7 @@ package flexsnoop_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -15,7 +16,7 @@ import (
 func telemetryRun(t *testing.T, format string) (flexsnoop.Result, string, string) {
 	t.Helper()
 	var trace, metrics bytes.Buffer
-	res, err := flexsnoop.Run(flexsnoop.SupersetAgg, "water-sp", flexsnoop.Options{
+	res, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{
 		OpsPerCore: 500, Seed: 7,
 		Telemetry: &flexsnoop.TelemetryOptions{
 			Trace: &trace, TraceFormat: format,
@@ -31,7 +32,7 @@ func telemetryRun(t *testing.T, format string) (flexsnoop.Result, string, string
 // TestTelemetryZeroPerturbation checks the subsystem's core contract:
 // enabling telemetry must not change the simulation at all.
 func TestTelemetryZeroPerturbation(t *testing.T) {
-	plain, err := flexsnoop.Run(flexsnoop.SupersetAgg, "water-sp", flexsnoop.Options{
+	plain, err := flexsnoop.Simulate(context.Background(), flexsnoop.SupersetAgg, flexsnoop.FromWorkload("water-sp"), flexsnoop.Options{
 		OpsPerCore: 500, Seed: 7,
 	})
 	if err != nil {
