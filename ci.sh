@@ -56,7 +56,9 @@ go test -run TestRingsimdSmoke -count=1 ./cmd/ringsimd
 echo "== federation smoke =="
 # Coordinator + one static worker + one worker joining via -register;
 # the static worker is SIGKILLed mid-sweep. The sweep must complete via
-# failover and its output must be byte-identical to the serial sweep.
+# failover, its output must be byte-identical to the serial sweep, and
+# the coordinator's /statsz must report the killed worker's breaker_state
+# as "open".
 go test -run TestRingsimdFederation -count=1 ./cmd/ringsimd
 
 echo "== overload smoke =="

@@ -46,8 +46,9 @@ func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 // joins via -register runs a full `sweep -remote` — and keeps running it
 // when the first worker is SIGKILLed mid-sweep. The sweep must complete,
 // its stdout must be byte-identical to the serial (in-process) sweep,
-// and the coordinator's /statsz must count the failover. ci.sh runs this
-// as the federation smoke test.
+// and the coordinator's /statsz must count the failover and report the
+// killed worker's breaker open. ci.sh runs this as the federation smoke
+// test.
 func TestRingsimdFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("federation smoke builds and execs three daemons and the sweep")
@@ -159,8 +160,14 @@ kill:
 		t.Error("worker SIGKILLed with jobs in flight, but /statsz counts no failovers")
 	}
 	for _, b := range st.Backends {
-		if b.Name == strings.TrimRight(w1, "/") && b.Healthy {
+		if b.Name != strings.TrimRight(w1, "/") {
+			continue
+		}
+		if b.Healthy {
 			t.Error("killed worker still marked healthy in /statsz")
+		}
+		if b.BreakerState != "open" {
+			t.Errorf("killed worker's breaker_state = %q in /statsz, want open", b.BreakerState)
 		}
 	}
 }

@@ -11,18 +11,21 @@
 //	         [-coordinator] [-backends URL,URL,...] [-hedge 0s]
 //	         [-register http://COORDINATOR] [-heartbeat 5s]
 //	         [-sojourn 0s] [-brownout 0s] [-ratelimit 0] [-rateburst 0]
-//	         [-breaker 0] [-breakercooldown 5s] [-breakerlatency 0s]
+//	         [-breaker N] [-breakerlatency 0s]
 //
-// Overload resilience (DESIGN.md §12), all default-off: -sojourn enables
+// Overload resilience (DESIGN.md §12), default-off: -sojourn enables
 // CoDel-style queue aging (sustained head-of-line sojourn above the
 // target sheds one low-priority job per interval); -brownout suspends
 // hedging and sheds negative-priority work while sojourn exceeds the
 // threshold; -ratelimit caps per-client_id admissions per second (burst
-// -rateburst); -breaker opens a per-backend circuit after that many
-// consecutive dispatch failures (cooldown -breakercooldown, then one
-// half-open probe; -breakerlatency additionally counts slow successes as
-// failures). Submissions may carry deadline_ms — an end-to-end budget the
-// daemon enforces in the queue, on workers, and across federation.
+// -rateburst). Submissions may carry deadline_ms — an end-to-end budget
+// the daemon enforces in the queue, on workers, and across federation.
+//
+// A coordinator keeps one circuit breaker per backend: -breaker
+// consecutive dispatch failures (or one failed health probe) open it,
+// the next passing probe or heartbeat makes it half-open, and the one
+// job it then takes closes or re-opens it. -breakerlatency additionally
+// counts slow successes as failures.
 //
 // Durability (DESIGN.md §11): -wal journals every job state transition
 // before it is acknowledged and replays the journal on startup —
@@ -35,11 +38,12 @@
 // Federation (DESIGN.md §9): with -backends (static fleet) or
 // -coordinator (workers join via -register), the daemon becomes a
 // coordinator — queued jobs are dispatched least-loaded-first across its
-// local worker pool and every healthy backend, failed backends are
-// probed, failed over and retried, and the result cache fronts the whole
-// fleet. `-workers -1` disables local execution (pure dispatcher). On a
-// worker, `-register URL` keeps it registered with a coordinator
-// (heartbeat every -heartbeat, exponential backoff while unreachable).
+// local worker pool and every backend whose breaker is not open, failed
+// backends are probed, failed over and retried, and the result cache
+// fronts the whole fleet. `-workers -1` disables local execution (pure
+// dispatcher). On a worker, `-register URL` keeps it registered with a
+// coordinator (heartbeat every -heartbeat, exponential backoff while
+// unreachable).
 //
 // On startup the daemon prints exactly one line to stdout:
 //
@@ -88,13 +92,12 @@ var (
 	registerFlag  = flag.String("register", "", "coordinator base URL to register this worker with (and heartbeat)")
 	heartbeatFlag = flag.Duration("heartbeat", 5*time.Second, "registration heartbeat interval when -register is set")
 
-	sojournFlag         = flag.Duration("sojourn", 0, "CoDel-style queue-sojourn target: shed low-priority jobs while head-of-line wait stays above it (0 disables)")
-	brownoutFlag        = flag.Duration("brownout", 0, "queue-sojourn threshold past which hedging stops and negative-priority work is shed (0 disables)")
-	rateLimitFlag       = flag.Float64("ratelimit", 0, "per-client_id admissions per second (0 disables rate limiting)")
-	rateBurstFlag       = flag.Int("rateburst", 0, "token-bucket burst for -ratelimit (0 = ceil(ratelimit))")
-	breakerFlag         = flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 disables breakers)")
-	breakerCooldownFlag = flag.Duration("breakercooldown", 0, "open-breaker cooldown before the half-open probe (0 = default 5s)")
-	breakerLatencyFlag  = flag.Duration("breakerlatency", 0, "count successful dispatches slower than this as breaker failures (0 disables)")
+	sojournFlag        = flag.Duration("sojourn", 0, "CoDel-style queue-sojourn target: shed low-priority jobs while head-of-line wait stays above it (0 disables)")
+	brownoutFlag       = flag.Duration("brownout", 0, "queue-sojourn threshold past which hedging stops and negative-priority work is shed (0 disables)")
+	rateLimitFlag      = flag.Float64("ratelimit", 0, "per-client_id admissions per second (0 disables rate limiting)")
+	rateBurstFlag      = flag.Int("rateburst", 0, "token-bucket burst for -ratelimit (0 = ceil(ratelimit))")
+	breakerFlag        = flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = default 1)")
+	breakerLatencyFlag = flag.Duration("breakerlatency", 0, "count successful dispatches slower than this as breaker failures (0 disables)")
 )
 
 func main() {
@@ -122,7 +125,6 @@ func run() error {
 		RateLimit:       *rateLimitFlag,
 		RateBurst:       *rateBurstFlag,
 		BreakerFailures: *breakerFlag,
-		BreakerCooldown: *breakerCooldownFlag,
 		BreakerLatency:  *breakerLatencyFlag,
 	}
 	for _, u := range strings.Split(*backendsFlag, ",") {

@@ -159,11 +159,10 @@ func (s *Server) pruneLimiterLocked(now time.Time) {
 }
 
 // ensureMaintLocked starts the maintenance goroutine that ages the
-// queue, sheds expired work, drives brownout transitions and wakes the
-// dispatcher when a circuit breaker's cooldown elapses. Started lazily —
-// when the Config enables an overload feature, or on the first admitted
-// job with a deadline — so a default-configured server runs exactly the
-// goroutines it always did.
+// queue, sheds expired work and drives brownout transitions. Started
+// lazily — when the Config enables an overload feature, or on the first
+// admitted job with a deadline — so a default-configured server runs
+// exactly the goroutines it always did.
 func (s *Server) ensureMaintLocked() {
 	if s.maintOn || s.draining {
 		return
@@ -198,9 +197,8 @@ func (s *Server) maintLoop() {
 
 // overloadScanLocked is one admission-control pass: shed queued work
 // whose deadline has passed, apply the CoDel-style sojourn control law,
-// update brownout state, and wake the dispatcher if a breaker cooldown
-// has elapsed. Called from the maintenance loop; harmless to call more
-// often.
+// and update brownout state. Called from the maintenance loop; harmless
+// to call more often.
 func (s *Server) overloadScanLocked(now time.Time) {
 	// Expired-in-queue work is shed before it can ever reach a worker.
 	for _, ex := range s.queue.TakeExpired(now) {
@@ -252,17 +250,6 @@ func (s *Server) overloadScanLocked(now time.Time) {
 		case s.brownout && sojourn < threshold/2:
 			s.brownout = false
 			s.logf("brownout over (queue sojourn %s)", sojourn.Round(time.Millisecond))
-		}
-	}
-
-	// A breaker whose cooldown elapsed makes its backend dispatchable
-	// again (half-open probe), but nothing else signals the dispatcher.
-	if s.cfg.BreakerFailures > 0 {
-		for _, b := range s.backends {
-			if b.client != nil && b.breaker == breakerOpen && !now.Before(b.openUntil) {
-				s.cond.Broadcast()
-				break
-			}
 		}
 	}
 }

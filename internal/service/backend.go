@@ -19,7 +19,7 @@ import (
 // execution substrate generalises from "the local worker pool" to a set
 // of backends — the local pool plus any number of remote ringsimd
 // daemons — and the dispatcher assigns each queued execution to the
-// least-loaded healthy backend. Everything above the dispatch seam
+// least-loaded eligible backend. Everything above the dispatch seam
 // (queueing, dedup, the content-addressed cache, cancellation, drain) is
 // unchanged: in particular the coordinator's result cache now fronts the
 // whole fleet, so a sweep re-run against the coordinator is answered
@@ -36,23 +36,17 @@ type backend struct {
 
 	slots    int  // max concurrent dispatches (local: Workers; remote: its worker count)
 	inflight int  // executions currently dispatched here
-	healthy  bool // eligible for dispatch (remote: last /readyz probe passed)
 	dynamic  bool // registered via POST /v1/backends rather than Config.Backends
 
-	lastErr  string    // most recent dispatch or probe failure
-	lastSeen time.Time // last successful probe or registration heartbeat
+	lastErr string // most recent dispatch or probe failure
 
-	// Circuit breaker state (meaningful only when Config.BreakerFailures
-	// > 0 and the backend is remote; DESIGN.md §12). The breaker refines
-	// the binary healthy flag: healthy answers "is it reachable" (the
-	// prober's question), the breaker answers "is it worth dispatching
-	// to" (consecutive failures or chronic slowness open it, a half-open
-	// probe dispatch closes it again).
-	breaker       breakerState
-	consecFails   int       // consecutive breaker-failure events while closed
-	openUntil     time.Time // open → half-open transition time
-	halfOpenProbe bool      // the single half-open probe dispatch is in flight
-	breakerOpens  uint64    // cumulative closed/half-open → open transitions
+	// Health is one circuit breaker per remote backend (DESIGN.md §12),
+	// fed by dispatch outcomes and by probes and heartbeats. The local
+	// pool's breaker stays closed: its failures are the job's, not the
+	// substrate's.
+	breaker      breakerState
+	consecFails  int    // consecutive transient dispatch failures while closed
+	breakerOpens uint64 // cumulative closed/half-open → open transitions
 
 	// Cumulative counters (reported per backend by /statsz).
 	dispatched, completed, failed, failovers uint64
@@ -73,9 +67,10 @@ type BackendRegistration struct {
 }
 
 // breakerState is the per-backend circuit-breaker state machine:
-// closed (dispatch normally) → open (quarantined for a cooldown after
-// BreakerFailures consecutive failures) → half-open (one probe dispatch
-// allowed; success closes, failure re-opens).
+// closed (dispatch normally) → open (no dispatch, after BreakerFailures
+// consecutive transient failures, a slow success or a failed probe) →
+// half-open (after a passing probe or a heartbeat: one job at a time;
+// success closes, failure re-opens).
 type breakerState int
 
 const (
@@ -112,18 +107,18 @@ type BackendStats struct {
 	// this server's queue).
 	QueueDepth   int     `json:"queue_depth,omitempty"`
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// BreakerState ("closed", "open", "half-open") and BreakerOpens are
-	// present only when Config.BreakerFailures enables circuit breakers.
+	// Healthy is "breaker not open". BreakerState ("closed", "open",
+	// "half-open") and BreakerOpens are reported for remote backends.
 	BreakerState string `json:"breaker_state,omitempty"`
 	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
 	LastError    string `json:"last_error,omitempty"`
 }
 
-func (b *backend) statsLocked(breakers bool) BackendStats {
+func (b *backend) statsLocked() BackendStats {
 	st := BackendStats{
 		Name:         b.name,
 		Local:        b.client == nil,
-		Healthy:      b.healthy,
+		Healthy:      b.breaker != breakerOpen,
 		Registered:   b.dynamic,
 		Slots:        b.slots,
 		Inflight:     b.inflight,
@@ -135,7 +130,7 @@ func (b *backend) statsLocked(breakers bool) BackendStats {
 		CacheHitRate: b.remoteHitRate,
 		LastError:    b.lastErr,
 	}
-	if breakers && b.client != nil {
+	if b.client != nil {
 		st.BreakerState = b.breaker.String()
 		st.BreakerOpens = b.breakerOpens
 	}
@@ -143,29 +138,21 @@ func (b *backend) statsLocked(breakers bool) BackendStats {
 }
 
 // availableLocked reports whether the backend could accept work at all
-// (ignoring free slots): reachable, and — with breakers enabled — not
-// quarantined by an open breaker still in its cooldown. Failover's
-// "fail fast when nobody is left" decision keys off this.
-func (b *backend) availableLocked(now time.Time, breakers bool) bool {
-	if !b.healthy || b.slots <= 0 {
-		return false
-	}
-	if !breakers || b.client == nil {
-		return true
-	}
-	return b.breaker != breakerOpen || !now.Before(b.openUntil)
+// (ignoring free slots): its breaker is not open. Failover's "fail fast
+// when nobody is left" decision keys off this.
+func (b *backend) availableLocked() bool {
+	return b.slots > 0 && b.breaker != breakerOpen
 }
 
-// eligibleLocked is availableLocked plus a free slot, and — half-open —
-// at most one probe dispatch in flight.
-func (b *backend) eligibleLocked(now time.Time, breakers bool) bool {
-	if !b.availableLocked(now, breakers) || b.inflight >= b.slots {
+// eligibleLocked is availableLocked plus a free slot. A half-open backend
+// takes one job at a time: that dispatch's outcome closes or re-opens the
+// breaker, and a dispatch that never ran (its deadline passed first)
+// leaves it half-open and eligible again.
+func (b *backend) eligibleLocked() bool {
+	if !b.availableLocked() || b.inflight >= b.slots {
 		return false
 	}
-	if breakers && b.client != nil && b.breaker == breakerHalfOpen && b.halfOpenProbe {
-		return false
-	}
-	return true
+	return b.breaker != breakerHalfOpen || b.inflight == 0
 }
 
 // federated reports whether this server is a coordinator.
@@ -189,12 +176,7 @@ func (s *Server) RegisterBackend(reg BackendRegistration) error {
 			if reg.Workers > 0 {
 				b.slots = reg.Workers
 			}
-			b.lastSeen = time.Now()
-			if !b.healthy {
-				b.healthy = true
-				b.lastErr = ""
-				s.cond.Broadcast() // a waiting dispatcher may now have a slot
-			}
+			s.halfOpenLocked(b, "heartbeat")
 			return nil
 		}
 	}
@@ -205,9 +187,10 @@ func (s *Server) RegisterBackend(reg BackendRegistration) error {
 	return nil
 }
 
-// newRemoteBackendLocked appends a remote backend in the optimistically
-// healthy state: the first dispatch or probe corrects it if it is down,
-// and a failed dispatch fails over rather than failing the job.
+// newRemoteBackendLocked appends a remote backend with its breaker
+// optimistically closed: the first dispatch or probe opens it if the
+// backend is down, and a failed dispatch fails over rather than failing
+// the job.
 func (s *Server) newRemoteBackendLocked(url string, workers int) *backend {
 	if workers <= 0 {
 		workers = defaultRemoteSlots
@@ -216,10 +199,9 @@ func (s *Server) newRemoteBackendLocked(url string, workers int) *backend {
 		name: url,
 		// Transport retries are disabled: the coordinator's failover IS its
 		// retry mechanism, and it needs transport errors surfaced promptly
-		// to mark the backend unhealthy and requeue elsewhere.
-		client:  &Client{BaseURL: url, PollInterval: s.cfg.RemotePoll, MaxTransportRetries: -1},
-		slots:   workers,
-		healthy: true,
+		// to open the backend's breaker and requeue elsewhere.
+		client: &Client{BaseURL: url, PollInterval: s.cfg.RemotePoll, MaxTransportRetries: -1},
+		slots:  workers,
 	}
 	s.backends = append(s.backends, b)
 	return b
@@ -230,26 +212,17 @@ func (s *Server) newRemoteBackendLocked(url string, workers int) *backend {
 // probe). The first probe replaces it with the worker's real pool size.
 const defaultRemoteSlots = 4
 
-// pickLocked returns the eligible backend (healthy, breaker permitting,
-// free capacity) that is least loaded (lowest inflight/slots fraction;
-// ties go to the earlier backend, so the local pool — always index 0
-// when present — wins a dead heat). Nil when every backend is busy,
-// unhealthy, quarantined, or absent.
-func (s *Server) pickLocked() *backend { return s.pickExcludingLocked(nil) }
-
-// pickHedgeLocked is pickLocked excluding the primary backend: a hedge
-// on the same substrate would only duplicate the same failure domain.
-func (s *Server) pickHedgeLocked(primary *backend) *backend {
-	return s.pickExcludingLocked(primary)
-}
-
-func (s *Server) pickExcludingLocked(skip *backend) *backend {
-	now := time.Now()
-	breakers := s.cfg.BreakerFailures > 0
+// pickLocked returns the eligible backend (breaker permitting, free
+// capacity) that is least loaded (lowest inflight/slots fraction; ties go
+// to the earlier backend, so the local pool — always index 0 when present
+// — wins a dead heat), skipping skip: a hedge on its primary's backend
+// would only duplicate the same failure domain. Nil when every backend is
+// busy, quarantined, or absent.
+func (s *Server) pickLocked(skip *backend) *backend {
 	var best *backend
 	var bestLoad float64
 	for _, b := range s.backends {
-		if b == skip || !b.eligibleLocked(now, breakers) {
+		if b == skip || !b.eligibleLocked() {
 			continue
 		}
 		load := float64(b.inflight) / float64(b.slots)
@@ -261,14 +234,12 @@ func (s *Server) pickExcludingLocked(skip *backend) *backend {
 }
 
 // anyAvailableLocked reports whether any backend (local included) could
-// currently accept work, busy or not — open breakers mid-cooldown do
-// not count, so a job failing over off the last live backend fails fast
-// instead of parking forever.
+// currently accept work, busy or not — open breakers do not count, so a
+// job failing over off the last live backend fails fast instead of
+// parking until a probe re-admits one.
 func (s *Server) anyAvailableLocked() bool {
-	now := time.Now()
-	breakers := s.cfg.BreakerFailures > 0
 	for _, b := range s.backends {
-		if b.availableLocked(now, breakers) {
+		if b.availableLocked() {
 			return true
 		}
 	}
@@ -277,15 +248,13 @@ func (s *Server) anyAvailableLocked() bool {
 
 // backendObserveLocked feeds one finished dispatch attempt into the
 // backend's circuit breaker: transient failures (and, with
-// BreakerLatency set, chronically slow successes) count against it,
-// clean successes reset it. No-op with breakers disabled, for the local
-// pool (its failures are the job's, not the substrate's), and for
-// cancellations.
+// BreakerLatency set, slow successes) count against it, clean successes
+// close it. No-op for the local pool (its failures are the job's, not
+// the substrate's), for cancellations and for expiries.
 func (s *Server) backendObserveLocked(b *backend, err error, latency time.Duration) {
-	if s.cfg.BreakerFailures <= 0 || b.client == nil {
+	if b.client == nil {
 		return
 	}
-	b.halfOpenProbe = false
 	switch {
 	case err == nil:
 		if s.cfg.BreakerLatency > 0 && latency > s.cfg.BreakerLatency {
@@ -294,7 +263,7 @@ func (s *Server) backendObserveLocked(b *backend, err error, latency time.Durati
 			return
 		}
 		if b.breaker != breakerClosed {
-			s.logf("backend %s breaker closed (probe succeeded)", b.name)
+			s.logf("backend %s breaker closed (dispatch succeeded)", b.name)
 		}
 		b.breaker = breakerClosed
 		b.consecFails = 0
@@ -303,21 +272,39 @@ func (s *Server) backendObserveLocked(b *backend, err error, latency time.Durati
 	}
 }
 
-// breakerFailureLocked records one breaker-failure event: the threshold
-// of consecutive failures — or any failure of a half-open probe — opens
-// the breaker for a cooldown.
+// breakerFailureLocked records one failed dispatch: the threshold of
+// consecutive failures — or any failure while half-open — opens the
+// breaker.
 func (s *Server) breakerFailureLocked(b *backend, err error) {
 	b.consecFails++
-	b.lastErr = err.Error()
 	if b.breaker == breakerHalfOpen || b.consecFails >= s.cfg.BreakerFailures {
-		if b.breaker != breakerOpen {
-			b.breakerOpens++
-			s.logf("backend %s breaker open for %s (%d consecutive failures, last: %v)",
-				b.name, s.cfg.BreakerCooldown, b.consecFails, err)
-		}
-		b.breaker = breakerOpen
-		b.openUntil = time.Now().Add(s.cfg.BreakerCooldown)
+		s.openBreakerLocked(b, err)
+		return
 	}
+	b.lastErr = err.Error()
+}
+
+// openBreakerLocked takes a backend out of dispatch until a passing
+// probe or a registration heartbeat makes it half-open.
+func (s *Server) openBreakerLocked(b *backend, err error) {
+	b.lastErr = err.Error()
+	if b.breaker != breakerOpen {
+		b.breakerOpens++
+		s.logf("backend %s breaker open: %v", b.name, err)
+	}
+	b.breaker = breakerOpen
+}
+
+// halfOpenLocked is the open → half-open edge: the backend answered a
+// probe or sent a heartbeat, so it may take one job to prove itself.
+func (s *Server) halfOpenLocked(b *backend, via string) {
+	b.lastErr = ""
+	if b.breaker != breakerOpen {
+		return
+	}
+	b.breaker = breakerHalfOpen
+	s.logf("backend %s breaker half-open (%s)", b.name, via)
+	s.cond.Broadcast() // a waiting dispatcher may now have a slot
 }
 
 // transientError marks a dispatch failure as the backend's fault rather
@@ -364,12 +351,12 @@ func transient(err error) bool {
 
 // runRemote executes one attempt of ex on a remote backend: submit
 // (with backpressure backoff), wait for a terminal state, translate it
-// back into the local execution's terms. ctx is the attempt's context —
-// the execution's own for the primary, a private one for a hedge — and
-// its cancellation is propagated: the poll loop stops immediately and
-// the remote job is cancelled best-effort so the worker's slot frees
-// promptly.
-func (s *Server) runRemote(b *backend, ex *execution, ctx context.Context) (flexsnoop.Result, error) {
+// back into the local execution's terms. Every attempt runs under the
+// execution's context, and its cancellation is propagated: the poll loop
+// stops immediately and the remote job is cancelled best-effort so the
+// worker's slot frees promptly.
+func (s *Server) runRemote(b *backend, ex *execution) (flexsnoop.Result, error) {
+	ctx := ex.ctx
 	spec := ex.spec
 	spec.Version = SpecVersion
 	if !ex.deadline.IsZero() {
@@ -396,24 +383,21 @@ func (s *Server) runRemote(b *backend, ex *execution, ctx context.Context) (flex
 	}
 	switch st.State {
 	case StateQueued, StateRunning:
-		st, err = b.client.Wait(ctx, st.ID)
+		id := st.ID // Wait returns a zero status on error
+		st, err = b.client.Wait(ctx, id)
 		if err != nil {
+			if ctx.Err() == nil {
+				return flexsnoop.Result{}, err
+			}
+			// Our side gave up (deadline, job cancel or drain): release the
+			// worker's slot best-effort, then report why.
+			cancelCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_, _ = b.client.Cancel(cancelCtx, id)
+			cancel()
 			if expired := remoteExpiry(ctx, ex); expired != nil {
-				// Release the worker's slot best-effort; the job is dead.
-				cancelCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, _ = b.client.Cancel(cancelCtx, st.ID)
-				cancel()
 				return flexsnoop.Result{}, expired
 			}
-			if ctx.Err() != nil {
-				// Our side cancelled (job cancel or drain): release the
-				// worker's slot best-effort, then report the cancellation.
-				cancelCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, _ = b.client.Cancel(cancelCtx, st.ID)
-				cancel()
-				return flexsnoop.Result{}, context.Canceled
-			}
-			return flexsnoop.Result{}, err
+			return flexsnoop.Result{}, context.Canceled
 		}
 	}
 	switch st.State {
@@ -457,9 +441,8 @@ func remoteExpiry(ctx context.Context, ex *execution) error {
 
 // prober is the coordinator's health checker: every HealthInterval it
 // probes each remote backend's /readyz (health) and /statsz (load and
-// pool size), marking backends unhealthy — and therefore ineligible for
-// dispatch — the moment they stop answering, and waking the dispatcher
-// when one recovers.
+// pool size). A failed probe opens the backend's breaker; a passing one
+// moves an open breaker to half-open and wakes the dispatcher.
 func (s *Server) prober() {
 	defer s.wg.Done()
 	interval := s.cfg.HealthInterval
@@ -498,19 +481,9 @@ func (s *Server) probeBackends(timeout time.Duration) {
 
 		s.mu.Lock()
 		if err != nil {
-			if b.healthy {
-				s.logf("backend %s unhealthy: %v", b.name, err)
-			}
-			b.healthy = false
-			b.lastErr = err.Error()
+			s.openBreakerLocked(b, err)
 		} else {
-			if !b.healthy {
-				s.logf("backend %s healthy again (%d workers)", b.name, remote.Workers)
-				s.cond.Broadcast() // dispatcher may have been starved of slots
-			}
-			b.healthy = true
-			b.lastErr = ""
-			b.lastSeen = time.Now()
+			s.halfOpenLocked(b, "probe passed")
 			if remote.Workers > 0 {
 				b.slots = remote.Workers
 			}

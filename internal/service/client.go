@@ -312,8 +312,8 @@ func (c *Client) Ready(ctx context.Context) error {
 // Register announces a worker to a coordinator (POST /v1/backends): the
 // coordinator adds (or refreshes) the worker in its backend registry and
 // starts dispatching jobs to it. Registration doubles as a heartbeat —
-// re-registering an already-known URL just updates its capacity and marks
-// it healthy.
+// re-registering an already-known URL updates its capacity and moves an
+// open breaker to half-open.
 func (c *Client) Register(ctx context.Context, reg BackendRegistration) error {
 	return c.do(ctx, http.MethodPost, "/v1/backends", reg, nil)
 }

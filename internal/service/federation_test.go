@@ -118,8 +118,8 @@ func TestFederationMatchesInProcess(t *testing.T) {
 }
 
 // TestFederationFailover: a job dispatched to a dead backend is not
-// failed — it is re-queued and retried on a healthy one, the dead
-// backend is marked unhealthy, and /statsz counts the failover.
+// failed — it is re-queued and retried on a live one, the dead
+// backend's breaker opens, and /statsz counts the failover.
 func TestFederationFailover(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	deadURL := dead.URL
@@ -155,8 +155,8 @@ func TestFederationFailover(t *testing.T) {
 	for _, b := range stats.Backends {
 		switch b.Name {
 		case strings.TrimRight(deadURL, "/"):
-			if b.Healthy {
-				t.Error("dead backend still marked healthy")
+			if b.Healthy || b.BreakerState != "open" {
+				t.Errorf("dead backend healthy=%v breaker=%q, want its breaker open", b.Healthy, b.BreakerState)
 			}
 			if b.Failovers == 0 {
 				t.Error("dead backend counts no failovers")
@@ -255,26 +255,29 @@ func TestFederationRegistration(t *testing.T) {
 	}
 }
 
-// TestFederationProbeRecovery: a backend that comes back up is
-// re-admitted by the health prober and jobs flow to it again.
+// TestFederationProbeRecovery: a backend whose breaker is open is
+// re-admitted half-open by the health prober, or at once by a
+// registration heartbeat, and the next job through it closes the breaker.
 func TestFederationProbeRecovery(t *testing.T) {
 	worker, workerURL := newWorker(t, 2)
 
 	coord := mustNew(t, coordCfg(workerURL))
 	defer coord.Close()
 
-	// Knock the backend unhealthy by hand (as a failed dispatch would).
+	// Open the backend's breaker by hand (as a failed dispatch would).
 	coord.mu.Lock()
-	coord.backends[0].healthy = false
-	coord.backends[0].lastErr = "induced for test"
+	coord.openBreakerLocked(coord.backends[0], errors.New("induced for test"))
 	coord.mu.Unlock()
 
-	// The prober (50ms interval) must mark it healthy again and pick up
-	// its real pool size from /statsz.
+	// The prober (50ms interval) must make it half-open and pick up its
+	// real pool size from /statsz.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		b := coord.Stats().Backends[0]
 		if b.Healthy && b.Slots == 2 {
+			if b.BreakerState != "half-open" {
+				t.Errorf("breaker after a passing probe = %q, want half-open", b.BreakerState)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -292,6 +295,40 @@ func TestFederationProbeRecovery(t *testing.T) {
 	}
 	if worker.Stats().RunsCompleted != 1 {
 		t.Errorf("worker RunsCompleted = %d, want 1", worker.Stats().RunsCompleted)
+	}
+	if got := coord.Stats().Backends[0].BreakerState; got != "closed" {
+		t.Errorf("breaker after the half-open job = %q, want closed", got)
+	}
+
+	// A heartbeat re-admits without waiting for a probe: this coordinator
+	// never probes within the test.
+	hb := mustNew(t, Config{Workers: -1, Coordinator: true, RemotePoll: 2 * time.Millisecond, HealthInterval: time.Hour})
+	defer hb.Close()
+	reg := BackendRegistration{URL: workerURL, Workers: 2}
+	if err := hb.RegisterBackend(reg); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	hb.mu.Lock()
+	hb.openBreakerLocked(hb.backends[0], errors.New("induced for test"))
+	hb.mu.Unlock()
+	if b := hb.Stats().Backends[0]; b.Healthy || b.BreakerState != "open" {
+		t.Fatalf("backend after opening its breaker: %+v", b)
+	}
+	if err := hb.RegisterBackend(reg); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	if b := hb.Stats().Backends[0]; !b.Healthy || b.BreakerState != "half-open" {
+		t.Fatalf("backend after a heartbeat: %+v, want half-open", b)
+	}
+	st, err = hb.Submit(smallSpec(801))
+	if err != nil {
+		t.Fatalf("submit after heartbeat: %v", err)
+	}
+	if got := waitTerminal(t, hb, st.ID); got.State != StateDone {
+		t.Fatalf("job after heartbeat = %q, want done", got.State)
+	}
+	if got := hb.Stats().Backends[0].BreakerState; got != "closed" {
+		t.Errorf("breaker after the half-open job = %q, want closed", got)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,14 +14,15 @@ import (
 )
 
 // hedgeSpec is slow enough that the 1ms hedge timer reliably fires while
-// the primary attempt is still running (a run is hundreds of
-// milliseconds), yet small enough to finish promptly under -race on a
-// loaded host.
+// the primary attempt is still running (a run is about 200 ms), yet small
+// enough to finish promptly under -race on a loaded host: TestHedgedDispatch
+// takes about 10 s of its 30 s wait under -race on 2 vCPUs, leaving room
+// for ci.sh's race pass, which runs packages in parallel.
 func hedgeSpec(seed int64) JobSpec {
 	return JobSpec{
 		Algorithm: "Subset",
 		Workload:  "fft",
-		Options:   SpecOptions{OpsPerCore: 5000, Seed: seed, Predictor: "Sub2k"},
+		Options:   SpecOptions{OpsPerCore: 2000, Seed: seed, Predictor: "Sub2k"},
 	}
 }
 
@@ -129,5 +132,73 @@ func TestHedgeMismatchDetected(t *testing.T) {
 			t.Fatalf("mismatch never detected: %+v", stats)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// pollWatchedWorker is newWorker with one slot, plus a flag set on the
+// first job-status poll it serves. A coordinator polls only once its
+// submission has returned, so from then on it can cancel the worker's
+// copy of the job by ID.
+func pollWatchedWorker(t *testing.T) (*Server, string, *atomic.Bool) {
+	t.Helper()
+	s := mustNew(t, Config{Workers: 1})
+	polled := new(atomic.Bool)
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			polled.Store(true)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	return s, ts.URL, polled
+}
+
+// TestHedgeCanceled: cancelling a hedged job reaches both attempts, since
+// both run under the job's own context. Each worker cancels its copy
+// instead of finishing it, and the coordinator frees both slots.
+func TestHedgeCanceled(t *testing.T) {
+	w1, u1, polled1 := pollWatchedWorker(t)
+	w2, u2, polled2 := pollWatchedWorker(t)
+	cfg := coordCfg(u1, u2)
+	cfg.HedgeDelay = time.Millisecond
+	coord := mustNew(t, cfg)
+	defer coord.Close()
+
+	st, err := coord.Submit(hedgeSpec(13))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	// Cancel once the coordinator is waiting on both the primary and the
+	// hedge.
+	deadline := time.Now().Add(30 * time.Second)
+	for !polled1.Load() || !polled2.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("hedge never started on both workers: %+v", coord.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := coord.Cancel(st.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+
+	deadline = time.Now().Add(60 * time.Second)
+	for {
+		stats, s1, s2 := coord.Stats(), w1.Stats(), w2.Stats()
+		if s1.RunsCanceled == 1 && s2.RunsCanceled == 1 &&
+			stats.Backends[0].Inflight == 0 && stats.Backends[1].Inflight == 0 {
+			if s1.RunsCompleted != 0 || s2.RunsCompleted != 0 {
+				t.Errorf("workers completed %d/%d runs of a cancelled job, want 0/0", s1.RunsCompleted, s2.RunsCompleted)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cancel never reached both attempts: workers canceled %d/%d completed %d/%d, coordinator %+v",
+				s1.RunsCanceled, s2.RunsCanceled, s1.RunsCompleted, s2.RunsCompleted, stats.Backends)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got, _ := coord.Status(st.ID); got.State != StateCanceled {
+		t.Errorf("job after cancel = %q, want canceled", got.State)
 	}
 }

@@ -284,8 +284,8 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 
 // breakerBackend is a real worker behind a fault-injection proxy: while
 // failing, job submissions get a 500 (a backend-side, failover-worthy
-// error) but health probes still pass — so the binary healthy flag stays
-// up and only the circuit breaker can quarantine it.
+// error) but health probes still pass — so only dispatch outcomes can
+// open its breaker.
 func breakerBackend(t *testing.T) (proxy *httptest.Server, failing *atomic.Bool) {
 	t.Helper()
 	worker := mustNew(t, Config{Workers: 2})
@@ -312,19 +312,18 @@ func breakerBackend(t *testing.T) (proxy *httptest.Server, failing *atomic.Bool)
 // TestBreakerOpensAndRecovers walks the breaker state machine end to
 // end on a coordinator with one remote backend: consecutive dispatch
 // failures open the breaker (and the job fails fast instead of parking),
-// the cooldown admits a half-open probe once the backend heals, and the
-// probe's success closes the breaker with a bit-identical result.
+// a passing probe makes it half-open once the backend heals, and the
+// success of the one job it then takes closes the breaker with a
+// bit-identical result.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	proxy, failing := breakerBackend(t)
 	failing.Store(true)
 
-	const cooldown = 300 * time.Millisecond
 	s := mustNew(t, Config{
 		Workers:         -1, // pure coordinator: every dispatch goes remote
 		Backends:        []string{proxy.URL},
 		BreakerFailures: 2,
-		BreakerCooldown: cooldown,
-		HealthInterval:  time.Hour, // probes out of the picture: the breaker alone governs
+		HealthInterval:  time.Hour, // the test runs the one probe itself
 	})
 	defer s.Close()
 
@@ -347,12 +346,14 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if got := stats.Backends[0].BreakerOpens; got != 1 {
 		t.Errorf("BreakerOpens = %d, want 1", got)
 	}
-	opened := time.Now()
 
-	// Heal the backend and wait out the cooldown: the next job is the
-	// half-open probe, and its success closes the breaker.
+	// Heal the backend and probe it: the breaker goes half-open, the next
+	// job is the one it takes, and that job's success closes the breaker.
 	failing.Store(false)
-	time.Sleep(cooldown - time.Since(opened) + 50*time.Millisecond)
+	s.probeBackends(5 * time.Second)
+	if got := s.Stats().Backends[0].BreakerState; got != "half-open" {
+		t.Fatalf("breaker state after a passing probe = %q, want half-open", got)
+	}
 	spec := smallSpec(451)
 	b, err := s.Submit(spec)
 	if err != nil {
@@ -378,6 +379,47 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestHalfOpenExpiredDispatch: a half-open backend whose one job expires
+// before it starts stays eligible. The dispatch never ran, so it says
+// nothing about the backend, and the next job is the one that decides
+// the breaker.
+func TestHalfOpenExpiredDispatch(t *testing.T) {
+	_, workerURL := newWorker(t, 2)
+	cfg := coordCfg(workerURL)
+	cfg.HealthInterval = time.Hour // no probe may re-decide the breaker
+	s := mustNew(t, cfg)
+	defer s.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	expired := &execution{
+		fp: "expired-before-start", spec: smallSpec(470), label: "expired",
+		queueIndex: -1, deadline: time.Now().Add(-time.Second), state: StateQueued,
+		ctx: ctx, cancel: cancel, hub: newMetricsHub(), done: make(chan struct{}),
+	}
+	s.mu.Lock()
+	s.openBreakerLocked(s.backends[0], errors.New("induced for test"))
+	s.mu.Unlock()
+	s.probeBackends(5 * time.Second)
+	if got := s.Stats().Backends[0].BreakerState; got != "half-open" {
+		t.Fatalf("breaker state after a passing probe = %q, want half-open", got)
+	}
+	s.mu.Lock()
+	s.dispatchLocked(s.backends[0], expired, false)
+	s.mu.Unlock()
+	<-expired.done
+
+	st, err := s.Submit(smallSpec(471))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if got := waitTerminal(t, s, st.ID); got.State != StateDone {
+		t.Fatalf("job after the expired half-open dispatch: state=%q error=%q, want done", got.State, got.Error)
+	}
+	if got := s.Stats().Backends[0].BreakerState; got != "closed" {
+		t.Errorf("breaker state after the job = %q, want closed", got)
+	}
+}
+
 // TestObeyingClientEventuallyAdmitted: a full queue answers 429 with a
 // positive integer Retry-After, and a client that obeys it is admitted
 // once the queue drains — the header is a promise, not a brush-off.
@@ -387,9 +429,12 @@ func TestObeyingClientEventuallyAdmitted(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// 2000 ops keeps each job running long enough to fill the queue, yet
+	// the test takes about 24 s of its 120 s budget under -race on 2 vCPUs,
+	// leaving room for ci.sh's race pass, which runs packages in parallel.
 	medium := func(seed int64) JobSpec {
 		sp := smallSpec(seed)
-		sp.Options.OpsPerCore = 10000
+		sp.Options.OpsPerCore = 2000
 		return sp
 	}
 	// Flood over HTTP until a 429 lands, then check its header.

@@ -77,15 +77,16 @@ type Config struct {
 	// Backends lists remote ringsimd base URLs to federate with. A
 	// non-empty list (or Coordinator) turns this server into a
 	// coordinator: queued jobs are dispatched least-loaded-first across
-	// the local pool and every healthy backend, and the result cache
-	// fronts the whole fleet.
+	// the local pool and every backend whose breaker is not open, and the
+	// result cache fronts the whole fleet.
 	Backends []string
 	// Coordinator enables federation even with no static Backends:
 	// workers announce themselves via POST /v1/backends (see
 	// RegisterLoop and ringsimd -register).
 	Coordinator bool
 	// HealthInterval paces the /readyz + /statsz probes of remote
-	// backends (default 2s).
+	// backends (default 2s). A passing probe is what moves an open
+	// breaker to half-open, so this is also the recovery clock.
 	HealthInterval time.Duration
 	// DispatchRetries bounds how many times a job that failed on a dying
 	// backend is re-queued and retried on another one (default 3).
@@ -114,14 +115,11 @@ type Config struct {
 	// RateBurst is the token-bucket burst for RateLimit (default:
 	// ceil(RateLimit), at least 1).
 	RateBurst int
-	// BreakerFailures enables per-backend circuit breakers: this many
-	// consecutive failed dispatches open a remote backend's breaker for
-	// BreakerCooldown, after which a single half-open probe dispatch
-	// decides between closing it and re-opening it. Zero disables
-	// breakers (the pre-breaker binary healthy flag governs alone).
+	// BreakerFailures is how many consecutive transient dispatch failures
+	// open a remote backend's circuit breaker (default 1). A failed probe
+	// opens it too; a passing probe or a registration heartbeat makes it
+	// half-open, and the one job it then takes closes or re-opens it.
 	BreakerFailures int
-	// BreakerCooldown is the open → half-open wait (default 5s).
-	BreakerCooldown time.Duration
 	// BreakerLatency, when set, counts a successful dispatch slower than
 	// this as a breaker failure: a backend that answers, but too late to
 	// be useful, is quarantined like one that does not answer.
@@ -129,7 +127,7 @@ type Config struct {
 
 	// HedgeDelay enables hedged dispatch on a coordinator: an execution
 	// still running on one backend this long after dispatch is
-	// speculatively re-dispatched to a second healthy backend. The first
+	// speculatively re-dispatched to a second eligible backend. The first
 	// result wins; because the simulator is deterministic the two results
 	// must be bit-identical, so a disagreement is surfaced as a hard
 	// integrity error in /statsz (HedgeMismatches) and the log. Zero
@@ -204,8 +202,8 @@ func (c Config) withDefaults() Config {
 			c.RateBurst = 1
 		}
 	}
-	if c.BreakerFailures > 0 && c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
+	if c.BreakerFailures <= 0 {
+		c.BreakerFailures = 1
 	}
 	return c
 }
@@ -213,7 +211,7 @@ func (c Config) withDefaults() Config {
 // overloadConfigured reports whether any opt-in overload feature needs
 // the maintenance goroutine from startup (deadline jobs start it lazily).
 func (c Config) overloadConfigured() bool {
-	return c.SojournTarget > 0 || c.BrownoutSojourn > 0 || c.BreakerFailures > 0
+	return c.SojournTarget > 0 || c.BrownoutSojourn > 0
 }
 
 // execution is one actual simulation: the unit the queue, the worker
@@ -336,10 +334,6 @@ type Server struct {
 	brownout    bool
 	maintOn     bool // the maintenance goroutine is running
 
-	// hedgeCancels tracks the private context of every in-flight hedge
-	// attempt, so cancellation and drain reach hedges whose execution has
-	// already settled.
-	hedgeCancels map[*execution]context.CancelFunc
 	// verifying tracks executions finalised as Done while another attempt
 	// was still in flight: the loser deliberately runs to completion to
 	// cross-check the accepted result, but drain must still be able to
@@ -368,13 +362,12 @@ type Server struct {
 // ready; an unusable WAL or cache directory is the only error.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:          cfg.withDefaults(),
-		start:        time.Now(),
-		jobs:         make(map[string]*job),
-		execs:        make(map[string]*execution),
-		hedgeCancels: make(map[*execution]context.CancelFunc),
-		verifying:    make(map[*execution]struct{}),
-		stop:         make(chan struct{}),
+		cfg:       cfg.withDefaults(),
+		start:     time.Now(),
+		jobs:      make(map[string]*job),
+		execs:     make(map[string]*execution),
+		verifying: make(map[*execution]struct{}),
+		stop:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.queue = newJobQueue(s.cfg.QueueCapacity)
@@ -387,9 +380,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cache = newResultCache(s.cfg.CacheEntries, disk)
 	if s.cfg.Workers > 0 {
-		s.backends = append(s.backends, &backend{
-			name: "local", slots: s.cfg.Workers, healthy: true,
-		})
+		s.backends = append(s.backends, &backend{name: "local", slots: s.cfg.Workers})
 	}
 	for _, url := range s.cfg.Backends {
 		s.newRemoteBackendLocked(strings.TrimRight(strings.TrimSpace(url), "/"), 0)
@@ -657,7 +648,7 @@ func (s *Server) Stream(id string) (hub *metricsHub, err error) {
 
 // dispatcher is the single scheduling goroutine: it waits until a queued
 // execution and a backend with a free slot coexist, assigns the
-// execution to the least-loaded healthy backend, and spawns a run
+// execution to the least-loaded eligible backend, and spawns a run
 // goroutine for it. With only the local backend this degenerates to the
 // classic bounded worker pool (at most Workers concurrent simulations);
 // with remote backends it is the federation dispatch loop.
@@ -666,7 +657,7 @@ func (s *Server) dispatcher() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for !s.draining && (s.queue.Len() == 0 || s.pickLocked() == nil) {
+		for !s.draining && (s.queue.Len() == 0 || s.pickLocked(nil) == nil) {
 			s.cond.Wait()
 		}
 		if s.draining {
@@ -686,8 +677,8 @@ func (s *Server) dispatcher() {
 				now.Sub(ex.enqueuedAt).Round(time.Millisecond)))
 			continue
 		}
-		b := s.pickLocked()
-		s.dispatchLocked(b, ex, ex.ctx, false)
+		b := s.pickLocked(nil)
+		s.dispatchLocked(b, ex, false)
 		if s.cfg.HedgeDelay > 0 && s.cfg.federated() {
 			s.wg.Add(1)
 			go s.hedgeTimer(b, ex)
@@ -696,17 +687,9 @@ func (s *Server) dispatcher() {
 }
 
 // dispatchLocked assigns one attempt of an execution to a backend and
-// spawns its run goroutine. The primary attempt runs under the
-// execution's own context; a hedge brings its private one.
-func (s *Server) dispatchLocked(b *backend, ex *execution, ctx context.Context, hedge bool) {
-	// An open breaker whose cooldown has elapsed admits exactly one probe
-	// dispatch (half-open); its outcome decides between closing the
-	// breaker and re-opening it (backendObserveLocked).
-	if s.cfg.BreakerFailures > 0 && b.client != nil && b.breaker == breakerOpen {
-		b.breaker = breakerHalfOpen
-		b.halfOpenProbe = true
-		s.logf("backend %s breaker half-open: probing with %s", b.name, ex.label)
-	}
+// spawns its run goroutine. Every attempt, hedges included, runs under
+// the execution's own context.
+func (s *Server) dispatchLocked(b *backend, ex *execution, hedge bool) {
 	b.inflight++
 	b.dispatched++
 	if b.client == nil {
@@ -724,11 +707,11 @@ func (s *Server) dispatchLocked(b *backend, ex *execution, ctx context.Context, 
 		}
 	}
 	s.wg.Add(1)
-	go s.runOn(b, ex, ctx, hedge)
+	go s.runOn(b, ex, hedge)
 }
 
 // hedgeTimer waits out the hedge delay and, if the execution is still
-// running, re-dispatches it to a second healthy backend. First result
+// running, re-dispatches it to a second backend. First result
 // wins; the loser's result is compared bit-for-bit against the winner's
 // (see runOn), because a deterministic simulator makes any divergence a
 // hard integrity error.
@@ -751,16 +734,14 @@ func (s *Server) hedgeTimer(primary *backend, ex *execution) {
 	if s.brownout {
 		return // brownout: speculative re-execution is the first luxury cut
 	}
-	b := s.pickHedgeLocked(primary)
+	b := s.pickLocked(primary)
 	if b == nil {
-		return // no second healthy backend with a free slot
+		return // no second eligible backend with a free slot
 	}
-	hctx, hcancel := context.WithCancel(context.Background())
-	s.hedgeCancels[ex] = hcancel
 	ex.hedged = true
 	s.hedges++
 	s.logf("job %s hedged onto %s after %s (%s)", ex.label, b.name, s.cfg.HedgeDelay, shortFP(ex.fp))
-	s.dispatchLocked(b, ex, hctx, true)
+	s.dispatchLocked(b, ex, true)
 }
 
 // runOn executes one attempt of a dispatched execution on its assigned
@@ -772,24 +753,22 @@ func (s *Server) hedgeTimer(primary *backend, ex *execution) {
 // which deliberately runs to completion when the winner succeeded —
 // only verifies that its result is bit-identical, counting any
 // divergence as a hard integrity error.
-func (s *Server) runOn(b *backend, ex *execution, ctx context.Context, hedge bool) {
+func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 	defer s.wg.Done()
 	s.logf("job run %s on %s (%s)", ex.label, b.name, shortFP(ex.fp))
 
 	started := time.Now()
 	var res flexsnoop.Result
 	var err error
-	ran := true
 	switch {
 	case !ex.deadline.IsZero() && !started.Before(ex.deadline):
 		// Last line of defence for "a worker never starts an expired job":
 		// the budget ran out between dispatch and here.
 		err = fmt.Errorf("%w: expired before starting on %s", ErrExpired, b.name)
-		ran = false
 	case b.client == nil:
-		res, err = s.runExecution(ctx, ex)
+		res, err = s.runExecution(ex)
 	default:
-		res, err = s.runRemote(b, ex, ctx)
+		res, err = s.runRemote(b, ex)
 	}
 	latency := time.Since(started)
 
@@ -800,18 +779,11 @@ func (s *Server) runOn(b *backend, ex *execution, ctx context.Context, hedge boo
 	if b.client == nil {
 		s.busy--
 	}
-	if ran {
-		// Feed the breaker before anything decides on failover: eligibility
-		// for the retry below must see this attempt's outcome.
-		s.backendObserveLocked(b, err, latency)
-	}
+	// Feed the breaker before anything decides on failover: eligibility for
+	// the retry below must see this attempt's outcome. An attempt that
+	// never started expired, which says nothing about the backend.
+	s.backendObserveLocked(b, err, latency)
 	defer s.cond.Broadcast() // a slot freed (or a requeue): wake the dispatcher
-	if hedge {
-		if cancel, ok := s.hedgeCancels[ex]; ok {
-			cancel()
-			delete(s.hedgeCancels, ex)
-		}
-	}
 
 	// Another attempt already settled the execution: this one is only a
 	// cross-check. Deterministic simulations make the comparison exact.
@@ -834,14 +806,9 @@ func (s *Server) runOn(b *backend, ex *execution, ctx context.Context, hedge boo
 	}
 
 	// A hedge that failed does not touch the execution: the primary
-	// attempt is still in flight. Backend-side failures still mark the
-	// backend unhealthy so the prober re-examines it (with breakers on,
-	// backendObserveLocked above already recorded the failure instead).
+	// attempt is still in flight. backendObserveLocked above already fed
+	// the failure to the backend's breaker.
 	if hedge && err != nil {
-		if b.client != nil && transient(err) && s.cfg.BreakerFailures <= 0 {
-			b.healthy = false
-			b.lastErr = err.Error()
-		}
 		return
 	}
 	if hedge && err == nil {
@@ -852,19 +819,12 @@ func (s *Server) runOn(b *backend, ex *execution, ctx context.Context, hedge boo
 	// the job itself is still wanted does not fail the job — it goes back
 	// to the queue for another backend (bounded).
 	if b.client != nil && err != nil && transient(err) && ex.ctx.Err() == nil && !s.draining {
-		if s.cfg.BreakerFailures <= 0 {
-			// Pre-breaker behavior: one failure quarantines the backend
-			// until the prober re-admits it. With breakers on, the breaker
-			// state machine (fed above) decides instead.
-			b.healthy = false
-			b.lastErr = err.Error()
-		}
 		b.failovers++
 		s.failovers++
 		ex.attempts++
 		ex.lastErr = err
 		// Retry on another backend — unless the retries are spent, or no
-		// healthy backend is left to retry on (failing fast beats parking
+		// available backend is left to retry on (failing fast beats parking
 		// the job until an operator notices the whole fleet is down).
 		if ex.attempts <= s.cfg.DispatchRetries && s.anyAvailableLocked() {
 			ex.state = StateQueued
@@ -890,7 +850,8 @@ func (s *Server) runOn(b *backend, ex *execution, ctx context.Context, hedge boo
 // runExecution performs the simulation outside the server lock, labelled
 // for pprof so a CPU profile of the daemon attributes time per job, and
 // with the streaming telemetry tap installed.
-func (s *Server) runExecution(ctx context.Context, ex *execution) (res flexsnoop.Result, err error) {
+func (s *Server) runExecution(ex *execution) (res flexsnoop.Result, err error) {
+	ctx := ex.ctx
 	if !ex.deadline.IsZero() {
 		// The end-to-end deadline bounds the run itself: RunJobContext
 		// stops between simulated events, so expiry interrupts promptly.
@@ -990,19 +951,16 @@ func (s *Server) finalizeLocked(ex *execution, res flexsnoop.Result, err error) 
 		s.runsFailed++
 		s.logf("job failed %s: %v", ex.label, err)
 	}
-	if ex.state == StateDone && ex.running > 0 {
+	if ex.state == StateDone && ex.running > 0 && !s.draining {
 		// The winner of a hedged race settled; the loser keeps running so
 		// its result can be cross-checked (runOn cancels the context once
-		// the last attempt is in). Drain can still interrupt it.
+		// the last attempt is in). Drain interrupts it.
 		s.verifying[ex] = struct{}{}
 	} else {
-		// A hedge still in flight has nothing left to verify against a
-		// failed or cancelled execution.
-		if cancel, ok := s.hedgeCancels[ex]; ok {
-			cancel()
-			delete(s.hedgeCancels, ex)
-		}
-		ex.cancel() // release the context's resources
+		// Releases the context's resources, and interrupts an attempt
+		// still in flight: it has nothing left to verify against a failed
+		// or cancelled execution, or against any execution once draining.
+		ex.cancel()
 	}
 	ex.hub.close()
 	close(ex.done)
@@ -1044,10 +1002,10 @@ func (s *Server) Drain(timeout time.Duration) {
 		}
 		s.finalizeLocked(ex, flexsnoop.Result{}, context.Canceled)
 	}
-	// Hedges whose winner already settled have nothing left to prove.
-	for ex, cancel := range s.hedgeCancels {
-		cancel()
-		delete(s.hedgeCancels, ex)
+	// Hedge losers whose winner already settled have nothing left to
+	// prove: drain interrupts them at once.
+	for ex := range s.verifying {
+		ex.cancel()
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -1066,9 +1024,6 @@ func (s *Server) Drain(timeout time.Duration) {
 		s.mu.Lock()
 		for _, ex := range s.execs {
 			ex.cancel()
-		}
-		for ex := range s.verifying {
-			ex.cancel() // hedge losers mid-verification
 		}
 		s.mu.Unlock()
 		<-done
@@ -1224,7 +1179,7 @@ func (s *Server) Stats() Stats {
 	if s.cfg.federated() {
 		st.Failovers = s.failovers
 		for _, b := range s.backends {
-			st.Backends = append(st.Backends, b.statsLocked(s.cfg.BreakerFailures > 0))
+			st.Backends = append(st.Backends, b.statsLocked())
 		}
 		st.Hedges = s.hedges
 		st.HedgeWins = s.hedgeWins

@@ -398,7 +398,7 @@ func readMetrics(base, id string) (int, []telemetry.Row) {
 func TestDrain(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, QueueCapacity: 8})
 	spec := smallSpec(20)
-	spec.Options.OpsPerCore = 20000
+	spec.Options.OpsPerCore = 2000
 	running, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("submit running: %v", err)
