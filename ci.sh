@@ -1,11 +1,14 @@
 #!/bin/sh
 # ci.sh — the repository's tier-1 gate. Every PR must keep this green.
 #
-#   ./ci.sh        vet + build + full test suite + race-detector passes
+#   ./ci.sh        vet + build + full test suite + race-detector passes,
+#                  smokes, then the paired benchmark gate
 #
 # The race pass re-runs the library and root tests (including the
 # telemetry determinism tests) under -race, catching any data race a
-# parallel driver or telemetry probe might introduce.
+# parallel driver or telemetry probe might introduce. The benchmark gate
+# compares the working tree with its parent commit on this host, in the
+# same run, so it needs no recorded baseline.
 set -eu
 cd "$(dirname "$0")"
 
@@ -78,10 +81,13 @@ echo "== chaos smoke =="
 # test harness; the daemon itself is built with -race by the test.
 go test -race -run TestRingsimdChaosKill9 -count=1 -timeout 10m ./cmd/ringsimd
 
-echo "== bench (short) =="
-# Record this PR's benchmark numbers; cmd/bench prints comparisons
-# against every prior BENCH_*.json and fails on a >25% throughput
-# regression versus the newest one.
-go run ./cmd/bench -short -maxregress 25 -out BENCH_9.json
+echo "== bench gate =="
+# Builds the parent commit (HEAD if the tree has uncommitted changes,
+# else HEAD~1) and the working tree as two test binaries running the same
+# BenchmarkGate, and alternates them for 80 ABBA pairs. Fails when a
+# sub-benchmark's median head/base time ratio is above 1.05 with its 95%
+# confidence interval above 1, or its median allocs/op grew by more than
+# 0.1%. Passes, doing nothing, without a git checkout or parent commit.
+go run ./cmd/bench
 
 echo "CI OK"

@@ -1,212 +1,211 @@
-// Command bench runs the repository's continuous benchmark suite (see
-// RunBenchSuite) and writes the result as a BENCH_<pr>.json document,
-// printing a comparison against every prior BENCH_*.json it can find
-// next to the output file.
+// Command bench is the benchmark gate of ci.sh: go run ./cmd/bench. It
+// builds the parent commit and the working tree as two test binaries
+// running the same BenchmarkGate code (benchgate_test.go), runs them in
+// ABBA order for a fixed number of pairs, and fails a sub-benchmark when
+// head is slower (the median of the per-pair ratios head ns/op ÷ base
+// ns/op is above maxRatio and its distribution-free 95% confidence
+// interval lies above 1) or allocates more (head's median allocs/op is
+// more than maxAllocGrowth above base's).
 //
-// Usage:
-//
-//	bench [-out BENCH_3.json] [-short] [-run matrix-subset,...]
-//	      [-maxregress 25] [-profiledir prof/] [-list]
-//
-// With -maxregress N, bench exits non-zero when any scenario's simulated
-// cycles-per-second throughput drops more than N percent against the
-// newest prior artifact — the ci.sh regression gate.
+// The parent is HEAD if the working tree has uncommitted changes, else
+// HEAD~1, exported with git archive to a temporary directory: neither the
+// checkout nor .git is written. With no checkout or parent, it exits 0.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 
-	"flexsnoop"
-	"flexsnoop/internal/cli"
 	"flexsnoop/internal/stats"
 )
 
-var (
-	outFlag    = flag.String("out", "", "output JSON file (default: print to stdout)")
-	shortFlag  = flag.Bool("short", false, "short mode: smaller scenarios (matrix-subset stays full size)")
-	runFlag    = flag.String("run", "", "comma-separated scenario subset (default: all)")
-	listFlag   = flag.Bool("list", false, "list scenarios, then exit")
-	maxRegress = flag.Float64("maxregress", 0, "fail when sim_cycles_per_sec drops more than this percent vs the newest prior artifact (0 = off)")
-	profileDir = flag.String("profiledir", "", "write per-scenario CPU and heap profiles (<dir>/<scenario>.cpu.prof, <dir>/<scenario>.mem.prof)")
+const (
+	pairs          = 80    // ABBA pairs of runs
+	maxRatio       = 1.05  // timed: the largest median head/base ns/op ratio that passes
+	maxAllocGrowth = 0.001 // exact: the largest relative growth of median allocs/op that passes
 )
 
 func main() {
-	flag.Parse()
-	if *listFlag {
-		for _, n := range flexsnoop.BenchScenarios() {
-			fmt.Println(n)
-		}
-		return
-	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(cli.ExitCode(err))
+		os.Exit(1)
 	}
 }
 
 func run() error {
-	cfg := flexsnoop.BenchConfig{
-		Short:      *shortFlag,
-		ProfileDir: *profileDir,
-		GitCommit:  gitCommit(),
+	start := time.Now()
+	root, err := command("git", "rev-parse", "--show-toplevel")
+	if err != nil {
+		fmt.Println("bench: no git checkout, nothing to compare against")
+		return nil
 	}
-	if *runFlag != "" {
-		cfg.Scenarios = strings.Split(*runFlag, ",")
-	}
-	suite, err := flexsnoop.RunBenchSuite(cfg)
+	status, err := command("git", "-C", root, "--no-optional-locks", "status", "--porcelain")
 	if err != nil {
 		return err
 	}
-	printSuite(suite)
+	rev := "HEAD~1"
+	if status != "" {
+		rev = "HEAD"
+	}
+	base, err := command("git", "-C", root, "rev-parse", "--verify", "--quiet", rev+"^{commit}")
+	if err != nil {
+		fmt.Printf("bench: no parent commit %s, nothing to compare against\n", rev)
+		return nil
+	}
 
-	if *outFlag == "" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(suite)
-	}
-	priors := priorSuites(*outFlag)
-	for _, p := range priors {
-		printComparison(p.name, p.suite, suite)
-	}
-	data, err := json.MarshalIndent(suite, "", "  ")
+	tmp, err := os.MkdirTemp("", "flexsnoop-bench")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*outFlag, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "wrote", *outFlag)
-	if *maxRegress > 0 && len(priors) > 0 {
-		newest := priors[len(priors)-1]
-		if err := checkRegression(newest.name, newest.suite, suite, *maxRegress); err != nil {
+	defer os.RemoveAll(tmp)
+	src, tar := filepath.Join(tmp, "base"), filepath.Join(tmp, "base.tar")
+	bins := [2]string{filepath.Join(tmp, "base.test"), filepath.Join(tmp, "head.test")}
+	for _, args := range [][]string{
+		{"git", "-C", root, "archive", "--prefix=base/", "-o", tar, base},
+		{"tar", "-xf", tar, "-C", tmp},
+		{"cp", filepath.Join(root, "benchgate_test.go"), src},
+		{"go", "test", "-C", src, "-c", "-o", bins[0], "."},
+		{"go", "test", "-C", root, "-c", "-o", bins[1], "."},
+	} {
+		if _, err := command(args[0], args[1:]...); err != nil {
 			return err
 		}
 	}
-	return nil
-}
 
-// gitCommit returns the working tree's HEAD commit, or "" when the
-// repository state cannot be read (bench artifacts stay usable without
-// git).
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func printSuite(s *flexsnoop.BenchSuite) {
-	t := stats.NewTable(
-		fmt.Sprintf("Benchmark suite (%s, short=%v, gomaxprocs=%d)",
-			s.GoVersion, s.Short, s.GoMaxProcs),
-		"Scenario", "ns/op", "allocs/op", "B/op", "sim cycles", "Mcycles/s")
-	for _, r := range s.Results {
-		t.AddRowf(r.Name,
-			fmt.Sprintf("%d", r.NsPerOp), fmt.Sprintf("%d", r.AllocsPerOp),
-			fmt.Sprintf("%d", r.BytesPerOp), fmt.Sprintf("%d", r.SimCycles),
-			r.CyclesPerSec/1e6)
-	}
-	fmt.Println(t)
-}
-
-// priorSuite is one readable prior BENCH_*.json artifact.
-type priorSuite struct {
-	name  string
-	suite *flexsnoop.BenchSuite
-}
-
-// priorSuites loads every BENCH_*.json in out's directory except out
-// itself, oldest first. BENCH file names embed the PR number, so the
-// lexical order is the PR order for single-digit PRs and close enough
-// beyond.
-func priorSuites(out string) []priorSuite {
-	dir := filepath.Dir(out)
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil
-	}
-	outAbs, _ := filepath.Abs(out)
-	var names []string
-	for _, m := range matches {
-		if abs, _ := filepath.Abs(m); abs == outAbs {
-			continue
-		}
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	var priors []priorSuite
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			continue
-		}
-		var s flexsnoop.BenchSuite
-		if err := json.Unmarshal(data, &s); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: ignoring unreadable %s: %v\n", name, err)
-			continue
-		}
-		priors = append(priors, priorSuite{name: name, suite: &s})
-	}
-	return priors
-}
-
-func printComparison(priorName string, prior, cur *flexsnoop.BenchSuite) {
-	t := stats.NewTable("Comparison vs "+filepath.Base(priorName),
-		"Scenario", "ns/op delta", "allocs/op delta", "B/op delta", "cycles/s delta")
-	for _, r := range cur.Results {
-		p, ok := prior.Result(r.Name)
-		if !ok {
-			t.AddRowf(r.Name, "new", "new", "new", "new")
-			continue
-		}
-		t.AddRowf(r.Name, delta(r.NsPerOp, p.NsPerOp), delta(r.AllocsPerOp, p.AllocsPerOp),
-			delta(r.BytesPerOp, p.BytesPerOp), deltaF(r.CyclesPerSec, p.CyclesPerSec))
-	}
-	fmt.Println(t)
-}
-
-// checkRegression fails when any scenario's throughput dropped more than
-// maxPct percent against the prior suite.
-func checkRegression(priorName string, prior, cur *flexsnoop.BenchSuite, maxPct float64) error {
-	var bad []string
-	for _, r := range cur.Results {
-		p, ok := prior.Result(r.Name)
-		if !ok || p.CyclesPerSec <= 0 {
-			continue
-		}
-		drop := 100 * (p.CyclesPerSec - r.CyclesPerSec) / p.CyclesPerSec
-		if drop > maxPct {
-			bad = append(bad, fmt.Sprintf("%s: sim_cycles_per_sec %.0f -> %.0f (-%.1f%%)",
-				r.Name, p.CyclesPerSec, r.CyclesPerSec, drop))
+	ps := make([]pair, pairs)
+	for i := range ps {
+		first := (i + 1) / 2 % 2 // base first in pairs 0 and 3 of every four
+		for _, side := range [2]int{first, 1 - first} {
+			out, err := command(bins[side], "-test.run", "^$", "-test.bench", "^BenchmarkGate$",
+				"-test.benchtime", "1x", "-test.benchmem", "-test.timeout", "2m")
+			if err != nil {
+				return err
+			}
+			if ps[i][side] = parse(out); len(ps[i][side]) == 0 {
+				return fmt.Errorf("%s printed no BenchmarkGate results:\n%s", filepath.Base(bins[side]), out)
+			}
 		}
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("regression over %.0f%% vs %s:\n  %s",
-			maxPct, filepath.Base(priorName), strings.Join(bad, "\n  "))
+
+	t := stats.NewTable(fmt.Sprintf("Benchmark gate: working tree vs %.12s (%s)", base, rev),
+		"Sub-benchmark", "time ratio", "95% CI", "base allocs/op", "head allocs/op", "verdict")
+	failed := 0
+	vs := judge(ps)
+	for _, v := range vs {
+		verdict := "ok"
+		if v.fail != "" {
+			verdict, failed = "FAIL: "+v.fail, failed+1
+		}
+		t.AddRowf(v.name, v.ratio, fmt.Sprintf("[%.3f, %.3f]", v.lo, v.hi), int64(v.baseAllocs), int64(v.headAllocs), verdict)
+	}
+	fmt.Printf("%s\n%d ABBA pairs, %s\n", t, pairs, time.Since(start).Round(time.Second))
+	if failed > 0 {
+		return fmt.Errorf("%d of %d sub-benchmarks regressed", failed, len(vs))
 	}
 	return nil
 }
 
-// delta formats the relative change from prior to cur.
-func delta(cur, prior int64) string {
-	if prior == 0 {
-		return "n/a"
+// command runs a command and returns its trimmed standard output. A
+// failure carries everything the command printed.
+func command(name string, args ...string) (string, error) {
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(name, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("%s %s: %v\n%s%s", name, strings.Join(args, " "), err, &stdout, &stderr)
 	}
-	return fmt.Sprintf("%+.1f%%", 100*float64(cur-prior)/float64(prior))
+	return strings.TrimSpace(stdout.String()), nil
 }
 
-// deltaF is delta for float metrics.
-func deltaF(cur, prior float64) string {
-	if prior == 0 {
-		return "n/a"
+// sample is one run's measurement of one sub-benchmark.
+type sample struct{ ns, allocs float64 }
+
+// pair is one ABBA pair of runs (base, head), keyed by sub-benchmark name.
+type pair [2]map[string]sample
+
+// benchLine matches one BenchmarkGate result line, dropping the
+// -GOMAXPROCS suffix from the sub-benchmark name.
+var benchLine = regexp.MustCompile(`(?m)^BenchmarkGate/(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op.*\s(\d+) allocs/op`)
+
+// parse extracts every sub-benchmark's result from one run's output.
+func parse(out string) map[string]sample {
+	got := map[string]sample{}
+	for _, m := range benchLine.FindAllStringSubmatch(out, -1) {
+		ns, _ := strconv.ParseFloat(m[2], 64)
+		allocs, _ := strconv.ParseFloat(m[3], 64)
+		got[m[1]] = sample{ns: ns, allocs: allocs}
 	}
-	return fmt.Sprintf("%+.1f%%", 100*(cur-prior)/prior)
+	return got
+}
+
+// verdict is the gate's decision on one sub-benchmark.
+type verdict struct {
+	name                   string
+	ratio, lo, hi          float64 // median head/base ns/op ratio and its 95% CI
+	baseAllocs, headAllocs float64 // median allocs/op
+	fail                   string  // why the sub-benchmark fails; "" passes
+}
+
+// judge decides every sub-benchmark that appears in any run, in name
+// order. One missing from either side of any pair fails.
+func judge(ps []pair) []verdict {
+	runs := map[string]int{}
+	for _, p := range ps {
+		for _, m := range p {
+			for name := range m {
+				runs[name]++
+			}
+		}
+	}
+	var vs []verdict
+	for name, n := range runs {
+		v := verdict{name: name}
+		if n < 2*len(ps) {
+			v.fail = "missing from a run"
+			vs = append(vs, v)
+			continue
+		}
+		var ratios, baseAllocs, headAllocs []float64
+		for _, p := range ps {
+			ratios = append(ratios, p[1][name].ns/p[0][name].ns)
+			baseAllocs, headAllocs = append(baseAllocs, p[0][name].allocs), append(headAllocs, p[1][name].allocs)
+		}
+		v.ratio, v.lo, v.hi = medianCI(ratios)
+		v.baseAllocs, _, _ = medianCI(baseAllocs)
+		v.headAllocs, _, _ = medianCI(headAllocs)
+		if v.ratio > maxRatio && v.lo > 1 {
+			v.fail = "slower"
+		} else if v.headAllocs > v.baseAllocs*(1+maxAllocGrowth) {
+			v.fail = "more allocs/op"
+		}
+		vs = append(vs, v)
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i].name < vs[j].name })
+	return vs
+}
+
+// medianCI sorts s and returns its median and the median's distribution-free
+// 95% confidence interval [s(k), s(n+1-k)], k the largest rank with
+// P(B < k) <= 2.5% for B ~ Binomial(n, 1/2): ranks 14 and 27 at n = 40.
+func medianCI(s []float64) (median, lo, hi float64) {
+	sort.Float64s(s)
+	n := len(s)
+	// pj is P(B = j) and cdf is P(B <= j).
+	k, pj, cdf := 1, math.Pow(0.5, float64(n)), 0.0
+	for j := 0; j < n/2; j++ {
+		if cdf += pj; cdf > 0.025 {
+			break
+		}
+		k = j + 1
+		pj *= float64(n-j) / float64(j+1)
+	}
+	return (s[(n-1)/2] + s[n/2]) / 2, s[k-1], s[n-k]
 }

@@ -217,28 +217,3 @@ func TestFigureOptionsContextStopsMatrix(t *testing.T) {
 		t.Fatalf("RunMatrix(cancelled ctx) = %v, want context.Canceled", err)
 	}
 }
-
-func TestRunBenchSuiteSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite is slow")
-	}
-	s, err := flexsnoop.RunBenchSuite(flexsnoop.BenchConfig{
-		Short: true, Scenarios: []string{"trace-replay"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := s.Result("trace-replay")
-	if !ok {
-		t.Fatal("trace-replay result missing")
-	}
-	if r.Iterations == 0 || r.NsPerOp <= 0 || r.SimCycles == 0 || r.CyclesPerSec <= 0 {
-		t.Errorf("implausible bench result: %+v", r)
-	}
-	if r.AllocsPerOp <= 0 {
-		t.Errorf("allocs/op = %d; memory accounting missing", r.AllocsPerOp)
-	}
-	if len(flexsnoop.BenchScenarios()) != 4 {
-		t.Errorf("scenario set = %v, want 4 scenarios", flexsnoop.BenchScenarios())
-	}
-}

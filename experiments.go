@@ -109,27 +109,14 @@ type poolJob struct {
 	run      func() error
 }
 
-// plainJobs wraps bare functions as unlabelled pool jobs.
-func plainJobs(fns []func() error) []poolJob {
-	jobs := make([]poolJob, len(fns))
-	for i, fn := range fns {
-		jobs[i] = poolJob{run: fn}
-	}
-	return jobs
-}
-
-// runPool executes independent simulation jobs with bounded parallelism.
-// After the first failure no further jobs are launched (already-running
-// jobs finish); every failure is reported, joined with errors.Join.
-func runPool(parallelism int, jobs []func() error) error {
-	return runPoolContext(context.Background(), parallelism, plainJobs(jobs))
-}
-
-// runPoolContext is runPool with cancellation: once ctx is done, no
-// further jobs launch (in-flight jobs observe ctx themselves) and the
-// context's error joins the result. Cancellation wins deterministically:
-// whenever ctx is done by the time the pool drains, the returned error
-// matches errors.Is(err, ctx.Err()), even if a job error raced it.
+// runPoolContext executes independent simulation jobs with bounded
+// parallelism. After the first failure no further jobs are launched
+// (already-running jobs finish); every failure is reported, joined with
+// errors.Join. Once ctx is done, no further jobs launch either (in-flight
+// jobs observe ctx themselves) and the context's error joins the result.
+// Cancellation wins deterministically: whenever ctx is done by the time
+// the pool drains, the returned error matches errors.Is(err, ctx.Err()),
+// even if a job error raced it.
 func runPoolContext(ctx context.Context, parallelism int, jobs []poolJob) error {
 	if parallelism < 1 {
 		parallelism = 1

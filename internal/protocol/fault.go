@@ -94,9 +94,6 @@ func (e *Engine) injectFaults(ri int, r *ring.Ring, in *txIntent) (dropped bool)
 	act := e.inj.Inspect(uint64(in.start), uint64(in.arrive), ri, in.from, r.Next(in.from))
 	if act.Drop {
 		e.stats.FaultDrops++
-		if debugAddrOn {
-			e.lineTrace(in.m.Addr, "faultDrop txn %d seg from n%d", in.m.Txn, in.from)
-		}
 		if t, ok := e.byID.Get(uint64(in.m.Txn)); ok && !in.m.Dup {
 			// The link-level CRC detects the loss and NACKs the
 			// requester, which squashes and retries (Section 2.1.4
@@ -197,9 +194,6 @@ func (e *Engine) onTxnDeadline(id ring.TxnID) {
 		return
 	}
 	e.stats.SnoopTimeouts++
-	if debugAddrOn {
-		e.lineTrace(t.addr, "timeout txn %d (n%d %v) retries=%d", t.id, t.node, t.kind, t.retries)
-	}
 	if e.tel != nil {
 		e.tel.TxnEvent(e.now(), uint64(t.id), "timeout", t.node)
 	}

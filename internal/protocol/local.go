@@ -201,9 +201,6 @@ func (e *Engine) supplyLocal(nodeID, supCore, dstCore int, addr cache.LineAddr) 
 		n.l2[supCore].SetState(addr, cache.Tagged)
 	}
 	version := l.Version
-	if debugAddrOn {
-		e.lineTrace(addr, "supplyLocal n%d c%d->c%d v%d", nodeID, supCore, dstCore, version)
-	}
 	e.observe(nodeID, dstCore, false, addr, version)
 	e.installLine(nodeID, dstCore, addr, cache.Shared, version)
 }
@@ -219,9 +216,6 @@ func (e *Engine) installLine(nodeID, coreID int, addr cache.LineAddr, st cache.S
 		n.supplierIdx.Put(uint64(addr), int32(coreID))
 		e.trainInsert(n, addr)
 		e.lines.clearFlag(addr, lineDowngraded)
-	}
-	if debugAddrOn {
-		e.lineTrace(addr, "install n%d c%d %v v%d", nodeID, coreID, st, version)
 	}
 	victim, evicted := n.l2[coreID].Insert(addr, st, version)
 	if evicted {
@@ -241,9 +235,6 @@ func (e *Engine) performWrite(nodeID, coreID int, addr cache.LineAddr) {
 	wasSupplier := line.State.GlobalSupplier()
 	line.State = cache.Dirty
 	line.Version = e.nextVersion(addr)
-	if debugAddrOn {
-		e.lineTrace(addr, "performWrite n%d c%d v%d", nodeID, coreID, line.Version)
-	}
 	e.observe(nodeID, coreID, true, addr, line.Version)
 	n.l2[coreID].Touch(addr)
 	n.l1[coreID].Insert(addr, cache.Shared, line.Version)
@@ -271,9 +262,6 @@ func (e *Engine) invalidateCoreLine(nodeID, coreID int, addr cache.LineAddr) {
 	n := e.nodes[nodeID]
 	if _, ok := n.l2[coreID].Invalidate(addr); !ok {
 		return
-	}
-	if debugAddrOn {
-		e.lineTrace(addr, "invalidateCore n%d c%d", nodeID, coreID)
 	}
 	n.l1[coreID].Invalidate(addr)
 	if owner, ok := n.supplierIdx.Get(uint64(addr)); ok && int(owner) == coreID {
@@ -361,9 +349,6 @@ func (e *Engine) downgradeLine(n *node, addr cache.LineAddr) {
 		return
 	}
 	e.stats.Downgrades++
-	if debugAddrOn {
-		e.lineTrace(addr, "downgrade n%d c%d %v v%d", n.id, coreID, line.State, line.Version)
-	}
 	e.meter.AddDowngradeOp()
 	if line.State.DirtyData() {
 		e.nodes[e.homeOf(addr)].mem.WriteBack(addr, line.Version)

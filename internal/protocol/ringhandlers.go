@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"fmt"
-
 	"flexsnoop/internal/cache"
 	"flexsnoop/internal/config"
 	"flexsnoop/internal/core"
@@ -82,33 +80,13 @@ func (e *Engine) forward(ringIdx, from int, m *ring.Message) {
 // the link-arbitration order within a cycle is the handler execution
 // order.
 func (e *Engine) forwardAt(depart sim.Time, ringIdx, from int, m *ring.Message) {
-	if debugTxn != 0 && m.Txn == debugTxn {
-		fmt.Printf("[%d] fwd from=%d req=%v rep=%v found=%v sq=%v\n", e.now(), from, m.HasRequest, m.HasReply, m.Found, m.Squashed)
-	}
 	e.meter.AddRingLinks(1)
 	e.txq[ringIdx] = append(e.txq[ringIdx], txIntent{depart: depart, from: from, m: m})
 	e.txTotal++
 }
 
-var debugTxn ring.TxnID
-var debugAddr cache.LineAddr
-var debugAddrOn bool
-
-// SetDebugAddr enables line-event tracing for one address (tests).
-func SetDebugAddr(a cache.LineAddr) { debugAddr, debugAddrOn = a, true }
-
-// lineTrace prints a line-event when tracing is enabled for the address.
-func (e *Engine) lineTrace(addr cache.LineAddr, format string, args ...any) {
-	if debugAddrOn && addr == debugAddr {
-		fmt.Printf("[%d] %s\n", e.now(), fmt.Sprintf(format, args...))
-	}
-}
-
 // deliver processes a message arriving at a node.
 func (e *Engine) deliver(ringIdx, nodeID int, m *ring.Message) {
-	if debugTxn != 0 && m.Txn == debugTxn {
-		fmt.Printf("[%d] dlv at=%d req=%v rep=%v found=%v sq=%v\n", e.now(), nodeID, m.HasRequest, m.HasReply, m.Found, m.Squashed)
-	}
 	if m.Dup {
 		// A fault-injected duplicate: the receiver's sequence check
 		// rejects it on arrival, whatever it carries.
@@ -329,9 +307,6 @@ func (e *Engine) snoopOutcome(ringIdx, nodeID int, m *ring.Message, st *ringStat
 		if hasSup {
 			st.localFound = true
 			line := n.l2[supCore].Lookup(m.Addr)
-			if debugAddrOn {
-				e.lineTrace(m.Addr, "supply n%d c%d %v v%d -> txn %d (req n%d)", nodeID, supCore, line.State, line.Version, m.Txn, m.Requester)
-			}
 			n.l2[supCore].SetState(m.Addr, cache.SupplyTransition(line.State))
 			e.stats.CacheSupplies++
 			e.sendData(nodeID, m, line.Version, false)
@@ -342,9 +317,6 @@ func (e *Engine) snoopOutcome(ringIdx, nodeID int, m *ring.Message, st *ringStat
 		}
 	} else {
 		sup, hadSup, hadAny := e.invalidateCMP(nodeID, m.Addr)
-		if debugAddrOn {
-			e.lineTrace(m.Addr, "writeSnoop n%d txn %d (req n%d) hadSup=%v hadAny=%v", nodeID, m.Txn, m.Requester, hadSup, hadAny)
-		}
 		if hadSup && (sup.State == cache.SharedGlobal || sup.State == cache.Tagged) {
 			// If this write is later squashed, its partial sweep may
 			// leave plain-S copies with no master; the completing write
@@ -640,9 +612,3 @@ func (n *node) dropState(id ring.TxnID) {
 		n.e.rsPool = append(n.e.rsPool, st)
 	}
 }
-
-// SetDebugTxn enables message-flow tracing for one transaction id (tests).
-func SetDebugTxn(id ring.TxnID) { debugTxn = id }
-
-// SetDebugAddrOff disables line-event tracing.
-func SetDebugAddrOff() { debugAddrOn = false }

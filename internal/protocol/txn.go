@@ -173,9 +173,6 @@ func (e *Engine) squashLocal(t *txn) {
 	if t.squashed {
 		return
 	}
-	if debugAddrOn {
-		e.lineTrace(t.addr, "squashLocal txn %d (n%d %v)", t.id, t.node, t.kind)
-	}
 	t.squashed = true
 	e.stats.Squashes++
 	if e.tel != nil {
@@ -391,9 +388,6 @@ func (e *Engine) deliverData(txnID ring.TxnID, version uint64, dirty bool) {
 	t.dataArrived = true
 	t.dataVersion = version
 	t.dataDirty = dirty
-	if debugAddrOn {
-		e.lineTrace(t.addr, "dataArrive txn %d (n%d %v) v%d dirty=%v squashed=%v", t.id, t.node, t.kind, version, dirty, t.squashed)
-	}
 	if e.tel != nil {
 		e.tel.TxnEvent(e.now(), uint64(t.id), "data", t.node)
 	}
@@ -436,9 +430,6 @@ func (e *Engine) installRead(t *txn, st cache.State, version uint64) {
 		// Deliver the value once without caching: an overlapping write
 		// may already be past this node and could never invalidate a
 		// late install.
-		if debugAddrOn {
-			e.lineTrace(t.addr, "useOnce txn %d (n%d) v%d", t.id, t.node, version)
-		}
 		e.stats.UseOnceReads++
 	} else {
 		e.installLine(t.node, t.core, t.addr, st, version)
@@ -496,9 +487,6 @@ func (e *Engine) startMemoryRead(t *txn) {
 func (e *Engine) memReadDone(t *txn) {
 	home := e.nodes[e.homeOf(t.addr)]
 	version := home.mem.Version(t.addr)
-	if debugAddrOn {
-		e.lineTrace(t.addr, "memData txn %d (n%d) v%d squashed=%v sharedGrant=%v", t.id, t.node, version, t.squashed, t.sharedGrant)
-	}
 	if t.retired {
 		return
 	}

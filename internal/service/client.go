@@ -287,6 +287,9 @@ func (c *Client) Run(ctx context.Context, spec JobSpec) (flexsnoop.Result, error
 	}
 	switch st.State {
 	case StateDone:
+		if st.Result == nil {
+			return flexsnoop.Result{}, fmt.Errorf("service: job %s done without a result", st.ID)
+		}
 		return *st.Result, nil
 	case StateCanceled:
 		return flexsnoop.Result{}, context.Canceled

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,5 +130,23 @@ func TestClientBackoffOnlyRetries429(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("attempts = %d, want 1 (400 must not be retried)", got)
+	}
+}
+
+// TestClientRunDoneWithoutResult: a server (or proxy) that reports a job
+// done but omits its result must make Run fail with an error naming the
+// job, not dereference the missing result.
+func TestClientRunDoneWithoutResult(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobStatus{ID: "j-000001", State: StateDone})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
+
+	_, err := c.Run(context.Background(), smallSpec(4))
+	if err == nil || !strings.Contains(err.Error(), "j-000001") {
+		t.Fatalf("Run = %v, want an error naming job j-000001", err)
 	}
 }

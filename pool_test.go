@@ -16,14 +16,14 @@ func TestRunPoolReportsEveryFailure(t *testing.T) {
 	// Two concurrent failures: both must surface in the joined error.
 	var gate sync.WaitGroup
 	gate.Add(2)
-	fail := func(e error) func() error {
-		return func() error {
+	fail := func(e error) poolJob {
+		return poolJob{run: func() error {
 			gate.Done()
 			gate.Wait() // both failures in flight together
 			return e
-		}
+		}}
 	}
-	err := runPool(2, []func() error{fail(errA), fail(errB)})
+	err := runPoolContext(context.Background(), 2, []poolJob{fail(errA), fail(errB)})
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("joined error lost a failure: %v", err)
 	}
@@ -32,18 +32,18 @@ func TestRunPoolReportsEveryFailure(t *testing.T) {
 func TestRunPoolStopsLaunchingAfterFailure(t *testing.T) {
 	// Sequential pool: the first job fails, so later jobs never start.
 	var started atomic.Int32
-	jobs := make([]func() error, 10)
-	jobs[0] = func() error {
+	jobs := make([]poolJob, 10)
+	jobs[0] = poolJob{run: func() error {
 		started.Add(1)
 		return fmt.Errorf("boom")
-	}
+	}}
 	for i := 1; i < len(jobs); i++ {
-		jobs[i] = func() error {
+		jobs[i] = poolJob{run: func() error {
 			started.Add(1)
 			return nil
-		}
+		}}
 	}
-	err := runPool(1, jobs)
+	err := runPoolContext(context.Background(), 1, jobs)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the failure, got %v", err)
 	}
@@ -76,9 +76,7 @@ func TestRunPoolContextCancelNotDoubleJoined(t *testing.T) {
 	// error must appear exactly once in the joined result.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := runPoolContext(ctx, 1, plainJobs([]func() error{
-		func() error { return nil },
-	}))
+	err := runPoolContext(ctx, 1, []poolJob{{run: func() error { return nil }}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pool did not report context.Canceled: %v", err)
 	}
@@ -89,14 +87,14 @@ func TestRunPoolContextCancelNotDoubleJoined(t *testing.T) {
 
 func TestRunPoolRunsEverythingOnSuccess(t *testing.T) {
 	var ran atomic.Int32
-	jobs := make([]func() error, 23)
+	jobs := make([]poolJob, 23)
 	for i := range jobs {
-		jobs[i] = func() error {
+		jobs[i] = poolJob{run: func() error {
 			ran.Add(1)
 			return nil
-		}
+		}}
 	}
-	if err := runPool(4, jobs); err != nil {
+	if err := runPoolContext(context.Background(), 4, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if n := ran.Load(); n != 23 {
