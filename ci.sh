@@ -2,7 +2,8 @@
 # ci.sh — the repository's tier-1 gate. Every PR must keep this green.
 #
 #   ./ci.sh        vet + build + full test suite + race-detector passes,
-#                  smokes, then the paired benchmark gate
+#                  a kernel fuzz pass, smokes, then the paired benchmark
+#                  gate
 #
 # The race pass re-runs the library and root tests (including the
 # telemetry determinism tests) under -race, catching any data race a
@@ -34,6 +35,12 @@ go test -shuffle=on ./...
 
 echo "== go test -race =="
 go test -race ./internal/... .
+
+echo "== wheel fuzz =="
+# Fuzzes the event kernel against its reference sorted-list scheduler,
+# including cancels of events already extracted into the running cycle's
+# batch and Stop requeues of a batch holding cancelled entries.
+go test -run '^$' -fuzz '^FuzzWheelVsReference$' -fuzztime 15s ./internal/sim
 
 echo "== fault-matrix smoke =="
 # Three documented fault plans x two algorithms, each with the continuous

@@ -11,10 +11,8 @@ package checker
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"flexsnoop/internal/cache"
-	"flexsnoop/internal/hotmap"
 	"flexsnoop/internal/protocol"
 )
 
@@ -24,35 +22,37 @@ type copyInfo struct {
 	line       cache.Line
 }
 
-// copyScratch keeps the gather slice across Check calls: the continuous
-// checker sweeps every cached line repeatedly, and regrowing the slice
-// each sweep was a measurable share of simulation allocations. A plain
-// mutex-guarded slice (not a sync.Pool) survives GC cycles, so the
-// grown capacity is paid once per process; serializing concurrent Check
-// calls is fine — the continuous checker runs on a single-threaded
-// simulation loop.
-var (
-	scratchMu   sync.Mutex
-	copyScratch []copyInfo
-	// copyIndex maps an address to the start of its run in the sorted
-	// gather slice, built during the per-line pass so the supplier-index
-	// sweep does a table lookup instead of a binary search per entry.
-	copyIndex hotmap.Table[int32]
-)
+// Checker runs the invariants against one engine. It keeps its gather
+// slice between calls: a run checks its engine repeatedly (every N
+// completions, every N cycles, and once drained), and regrowing the
+// slice each sweep was a measurable share of simulation allocations. A
+// Checker is not safe for concurrent use; each run owns its own, so
+// concurrent runs never contend.
+type Checker struct {
+	e   *protocol.Engine
+	all []copyInfo
+}
+
+// New returns a checker for an engine.
+func New(e *protocol.Engine) *Checker { return &Checker{e: e} }
 
 // Check runs every invariant against the engine, returning the first
 // violation found. The continuous checker runs this on the simulation hot
 // path, so copies are gathered into one flat slice and grouped by sorting
-// — one allocation per sweep instead of a map of per-line slices — which
-// also makes the reported violation deterministic (lowest address wins)
-// where map iteration order would have been random.
-func Check(e *protocol.Engine) error {
-	scratchMu.Lock()
-	all := copyScratch[:0]
-	defer func() { copyScratch = all[:0]; scratchMu.Unlock() }()
+// — no map of per-line slices — which also makes the reported violation
+// deterministic (lowest address wins) where map iteration order would
+// have been random.
+func (c *Checker) Check() error {
+	e := c.e
+	all := slices.Grow(c.all[:0], e.CachedLines())
+	suppliers := 0
 	e.ForEachLine(func(node, core int, l cache.Line) {
 		all = append(all, copyInfo{node, core, l})
+		if l.State.GlobalSupplier() {
+			suppliers++
+		}
 	})
+	c.all = all
 	slices.SortFunc(all, func(a, b copyInfo) int {
 		if a.line.Addr != b.line.Addr {
 			if a.line.Addr < b.line.Addr {
@@ -66,13 +66,11 @@ func Check(e *protocol.Engine) error {
 		return a.core - b.core
 	})
 
-	copyIndex.Reset()
 	for i := 0; i < len(all); {
 		j := i + 1
 		for j < len(all) && all[j].line.Addr == all[i].line.Addr {
 			j++
 		}
-		copyIndex.Put(uint64(all[i].line.Addr), int32(i))
 		if err := checkLine(e, all[i].line.Addr, all[i:j]); err != nil {
 			return err
 		}
@@ -80,33 +78,29 @@ func Check(e *protocol.Engine) error {
 	}
 
 	// Gateway supplier indexes must not list lines with no supplier copy.
+	// The per-line pass found at most one supplier per line, each in its
+	// node's index, so a stale entry exists exactly when the indexes hold
+	// more entries than there are suppliers; only then are they searched
+	// for it.
+	indexed := 0
+	e.ForEachSupplierIndex(func(int, cache.LineAddr) { indexed++ })
+	if indexed == suppliers {
+		return nil
+	}
 	var idxErr error
 	e.ForEachSupplierIndex(func(n int, addr cache.LineAddr) {
-		if idxErr == nil && !hasSupplierAt(copiesOf(all, addr), n) {
+		if idxErr == nil && !holdsSupplier(e, n, addr) {
 			idxErr = fmt.Errorf("node %d indexes %#x as supplier but holds no supplier copy", n, addr)
 		}
 	})
 	return idxErr
 }
 
-// copiesOf returns the sorted slice's run of copies for one address,
-// located via the index built during the per-line pass.
-func copiesOf(all []copyInfo, addr cache.LineAddr) []copyInfo {
-	start, ok := copyIndex.Get(uint64(addr))
-	if !ok {
-		return nil
-	}
-	i := int(start)
-	j := i
-	for j < len(all) && all[j].line.Addr == addr {
-		j++
-	}
-	return all[i:j]
-}
-
-func hasSupplierAt(copies []copyInfo, node int) bool {
-	for _, c := range copies {
-		if c.node == node && c.line.State.GlobalSupplier() {
+// holdsSupplier reports whether a core of node n holds the line in a
+// global supplier state.
+func holdsSupplier(e *protocol.Engine, n int, addr cache.LineAddr) bool {
+	for core := 0; core < e.Cores(); core++ {
+		if e.LineState(n, core, addr).GlobalSupplier() {
 			return true
 		}
 	}
@@ -169,12 +163,12 @@ func checkLine(e *protocol.Engine, addr cache.LineAddr, copies []copyInfo) error
 
 // CheckDrained verifies post-run cleanliness: no live transactions, no
 // leaked per-node message state, and all line invariants.
-func CheckDrained(e *protocol.Engine) error {
-	if n := e.OutstandingTxns(); n != 0 {
+func (c *Checker) CheckDrained() error {
+	if n := c.e.OutstandingTxns(); n != 0 {
 		return fmt.Errorf("%d transactions still outstanding after drain", n)
 	}
-	if n := e.RingStateCount(); n != 0 {
+	if n := c.e.RingStateCount(); n != 0 {
 		return fmt.Errorf("%d ring states leaked after drain", n)
 	}
-	return Check(e)
+	return c.Check()
 }

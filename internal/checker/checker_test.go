@@ -31,10 +31,10 @@ func newEngine(t *testing.T) (*sim.Kernel, *protocol.Engine) {
 
 func TestCleanMachinePasses(t *testing.T) {
 	_, e := newEngine(t)
-	if err := checker.Check(e); err != nil {
+	if err := checker.New(e).Check(); err != nil {
 		t.Errorf("empty machine failed: %v", err)
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Errorf("empty machine failed drain check: %v", err)
 	}
 }
@@ -47,7 +47,7 @@ func TestHealthyRunPasses(t *testing.T) {
 	kern.RunAll()
 	e.Access(3, 1, protocol.Store, 0x40, nil)
 	kern.RunAll()
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Errorf("healthy run failed: %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestDrainedDetectsOutstanding(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		kern.Step()
 	}
-	err := checker.CheckDrained(e)
+	err := checker.New(e).CheckDrained()
 	if err == nil {
 		t.Fatal("in-flight transaction passed the drain check")
 	}
@@ -98,7 +98,7 @@ func TestDrainedDetectsOutstanding(t *testing.T) {
 		t.Errorf("unexpected drain error: %v", err)
 	}
 	kern.RunAll() // let it finish cleanly
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Errorf("drained machine still failing: %v", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestTaggedStatePasses(t *testing.T) {
 	if st := e.LineState(0, 0, 0x80); st != cache.Tagged {
 		t.Fatalf("supplier state = %v, want Tagged", st)
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Errorf("legitimate Tagged configuration failed: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestDetectsIncompatibleStates(t *testing.T) {
 	// Tagged@(n0,c0) + SharedGlobal@(n3,c1) violates the Figure 2(b)
 	// matrix, and the report must name the line and both copies.
 	e.CorruptLineState(3, 1, 0x80, cache.SharedGlobal)
-	err := checker.Check(e)
+	err := checker.New(e).Check()
 	if err == nil {
 		t.Fatal("corrupted line passed the checker")
 	}
@@ -147,7 +147,7 @@ func TestDetectsSupplierMissingFromIndex(t *testing.T) {
 	_, e := taggedMachine(t)
 	// Drop the gateway index entry out from under the Tagged supplier.
 	e.CorruptSupplierIndex(0, 0x80, 0, false)
-	err := checker.Check(e)
+	err := checker.New(e).Check()
 	if err == nil {
 		t.Fatal("missing index entry passed the checker")
 	}
@@ -162,7 +162,7 @@ func TestDetectsStaleSupplierIndex(t *testing.T) {
 	_, e := taggedMachine(t)
 	// Index a line at a node that holds no supplier copy of it.
 	e.CorruptSupplierIndex(5, 0x200, 0, true)
-	err := checker.Check(e)
+	err := checker.New(e).Check()
 	if err == nil {
 		t.Fatal("stale index entry passed the checker")
 	}
@@ -184,7 +184,7 @@ func TestLostWriteDetection(t *testing.T) {
 		e.Access(i%8, 0, protocol.Store, addr, nil)
 		kern.RunAll()
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Errorf("write churn failed: %v", err)
 	}
 	if e.LatestVersion(0x40) == 0 {

@@ -186,8 +186,11 @@ func Run(exp Experiment) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// One checker serves the run's every-64 checks, its continuous checks
+	// and the drained check, so its gather slice is grown once per run.
+	chk := checker.New(eng)
 	if exp.CheckInvariants {
-		eng.SetInvariantChecker(64, func() error { return checker.Check(eng) })
+		eng.SetInvariantChecker(64, chk.Check)
 	}
 
 	var col *telemetry.Collector
@@ -205,7 +208,7 @@ func Run(exp Experiment) (Result, error) {
 	// The robustness layer chains onto the engine's EndCycle hook; both
 	// pieces only inspect, so arming them moves no events.
 	if exp.CheckEveryCycles > 0 {
-		installContinuousChecker(kern, eng, exp.CheckEveryCycles)
+		installContinuousChecker(kern, eng, chk, exp.CheckEveryCycles)
 	}
 	if eng.FaultsEnabled() || exp.WatchdogWindow > 0 {
 		installWatchdog(kern, eng, col, exp.WatchdogWindow, exp.WatchdogDegrade)
@@ -214,6 +217,7 @@ func Run(exp Experiment) (Result, error) {
 	totalCores := exp.Machine.TotalCores()
 	cores := make([]*cpu.Core, 0, totalCores)
 	remaining := totalCores
+	coreDone := func() { remaining-- }
 	for n := 0; n < exp.Machine.NumCMPs; n++ {
 		for c := 0; c < exp.Machine.CoresPerCMP; c++ {
 			g := n*exp.Machine.CoresPerCMP + c
@@ -227,12 +231,7 @@ func Run(exp Experiment) (Result, error) {
 			} else {
 				src = workload.NewGenerator(exp.Workload, g, exp.OpsPerCore, exp.Seed)
 			}
-			cr := cpu.NewMLP(kern, eng, n, c, exp.Machine.WriteBufferEntries, exp.Machine.MaxOutstandingLoads, src, func() {
-				remaining--
-				if remaining == 0 {
-					// Let in-flight protocol events drain naturally.
-				}
-			})
+			cr := cpu.NewMLP(kern, eng, n, c, exp.Machine.WriteBufferEntries, exp.Machine.MaxOutstandingLoads, src, coreDone)
 			cores = append(cores, cr)
 		}
 	}
@@ -287,7 +286,7 @@ func Run(exp Experiment) (Result, error) {
 		// it, so reclaim before the drain check.
 		eng.ScavengeOrphanStates()
 	}
-	if err := checker.CheckDrained(eng); err != nil {
+	if err := chk.CheckDrained(); err != nil {
 		return Result{}, fmt.Errorf("machine: post-run check: %w", err)
 	}
 

@@ -4,7 +4,12 @@ import (
 	"testing"
 
 	"flexsnoop/internal/config"
+	"flexsnoop/internal/core"
 	"flexsnoop/internal/energy"
+	"flexsnoop/internal/fault"
+	"flexsnoop/internal/protocol"
+	"flexsnoop/internal/sim"
+	"flexsnoop/internal/telemetry"
 	"flexsnoop/internal/trace"
 	"flexsnoop/internal/workload"
 )
@@ -358,5 +363,41 @@ func TestReadMissHistogramPopulated(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no read misses recorded")
+	}
+}
+
+// TestFaultRunEndsNearLastRetire pins that a fault run stops within one
+// response deadline of its last retire. Retire cancels a transaction's
+// pending deadlines, so no stale timer keeps the kernel (and its
+// EndCycle monitors and interval sampler) ticking after the work is
+// done; the last interval row marks the last executed event.
+func TestFaultRunEndsNearLastRetire(t *testing.T) {
+	plan, err := fault.ParsePlan("kind=drop,rate=0.02,seed=7;kind=delay,rate=0.05,delay=80,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1001); seed <= 1008; seed++ {
+		exp := smallExp(t, config.SupersetAgg, "barnes", 16)
+		exp.CheckInvariants = false
+		exp.Seed = seed
+		exp.Faults = plan
+		exp.CheckEveryCycles = 5000
+		var lastRow sim.Time
+		exp.Telemetry = &telemetry.Config{OnRow: func(r telemetry.Row) { lastRow = sim.Time(r.Cycle) }}
+		res, err := Run(exp)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		eng, err := protocol.NewEngine(sim.NewKernel(), protocol.Options{
+			Machine: exp.Machine, Predictor: exp.Predictor,
+			PolicyFor: func(int) core.Policy { return core.NewPolicy(exp.Algorithm) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline := eng.TimeoutDeadline(); lastRow > res.Cycles+deadline {
+			t.Errorf("seed %d: last interval row at cycle %d, %d cycles after the last retire at %d (deadline %d)",
+				seed, lastRow, lastRow-res.Cycles, res.Cycles, deadline)
+		}
 	}
 }

@@ -113,11 +113,12 @@ func (w *watchdog) tick(now sim.Time) {
 		verdict, w.window, now, outstanding, queued, churn, strings.Join(dump, "\n  ")))
 }
 
-// installContinuousChecker runs the full coherence invariant checker
-// every `every` cycles, on the EndCycle hook (a clean cycle boundary:
-// the cycle's events have all executed). A violation fails the run at
-// the cycle it is detected, not at end of run.
-func installContinuousChecker(kern *sim.Kernel, eng *protocol.Engine, every sim.Time) {
+// installContinuousChecker runs the full coherence invariant checker at
+// the first EndCycle at or after each `every`-cycle mark (a clean cycle
+// boundary: the cycle's events have all executed; EndCycle fires only at
+// cycles with live events). A violation fails the run at the cycle it is
+// detected, not at end of run.
+func installContinuousChecker(kern *sim.Kernel, eng *protocol.Engine, chk *checker.Checker, every sim.Time) {
 	next := every
 	prev := kern.EndCycle
 	kern.EndCycle = func(now sim.Time) {
@@ -128,7 +129,7 @@ func installContinuousChecker(kern *sim.Kernel, eng *protocol.Engine, every sim.
 			return
 		}
 		next = now + every
-		if err := checker.Check(eng); err != nil {
+		if err := chk.Check(); err != nil {
 			eng.Fail(fmt.Errorf("machine: continuous check at cycle %d: %w", now, err))
 		}
 	}

@@ -368,6 +368,18 @@ func (e *Engine) ForEachLine(visit func(node, core int, l cache.Line)) {
 	}
 }
 
+// CachedLines reports how many valid L2 lines the machine holds (sizes
+// the checker's gather).
+func (e *Engine) CachedLines() int {
+	lines := 0
+	for _, n := range e.nodes {
+		for _, a := range n.l2 {
+			lines += a.Len()
+		}
+	}
+	return lines
+}
+
 // SupplierIndexed reports whether node n's gateway index lists the line as
 // held in a supplier state (checker cross-validation).
 func (e *Engine) SupplierIndexed(n int, addr cache.LineAddr) bool {

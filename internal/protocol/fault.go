@@ -24,7 +24,8 @@ import (
 //     full ring circuit plus the memory round trip (timeoutDeadline). A
 //     transaction whose messages were lost times out, squashes, scavenges
 //     its per-node message state, and retransmits with exponential
-//     backoff, bounded by the plan's retry limit.
+//     backoff, bounded by the plan's retry limit. Retire cancels the
+//     deadlines still pending, so a run ends at its last live event.
 //   - Fail/Failure latch the first unrecoverable error (retry exhaustion,
 //     a watchdog verdict, or a continuous-checker violation) and stop the
 //     kernel, so machine.Run can report it instead of hanging.
@@ -136,10 +137,8 @@ func (e *Engine) injectFaults(ri int, r *ring.Ring, in *txIntent) (dropped bool)
 }
 
 // armDeadline schedules the transaction's response deadline. Only called
-// on fault runs: the deadline event is ID-addressed (never cancelled), so
-// a stale firing after retire is a cheap byID miss, and per-attempt
-// deadlines widen with the retry count so heavy fault windows do not
-// starve their own recovery.
+// on fault runs. Per-attempt deadlines widen with the retry count so
+// heavy fault windows do not starve their own recovery.
 func (e *Engine) armDeadline(t *txn) {
 	d := e.deadlineCycles
 	if shift := t.timeoutRetries; shift > 0 {
@@ -151,35 +150,56 @@ func (e *Engine) armDeadline(t *txn) {
 	e.armDeadlineIn(t, d)
 }
 
-// armDeadlineIn schedules a deadline with an explicit width. Extra
-// deadlines for one transaction are harmless: whichever fires after the
-// transaction resolved is a byID miss.
+// armDeadlineIn schedules a deadline with an explicit width and links it
+// into the transaction's deadline list. A transaction may hold several
+// (the drop grace deadline rides beside the per-attempt one); retire
+// cancels whichever are still pending. Transaction IDs are never reused,
+// so a deadline left pending after retire could only fire as a byID
+// miss: cancelling it changes no simulated state, and the run ends at
+// its last live event instead of ticking through stale timers.
 func (e *Engine) armDeadlineIn(t *txn, d sim.Time) {
 	if e.inj == nil {
 		return
 	}
 	c := e.newCall()
-	c.e, c.id = e, t.id
-	e.kern.AfterArg(d, deadlineCall, c)
+	c.e, c.t = e, t
+	c.next = t.deadlines
+	t.deadlines = c
+	c.h = e.kern.AfterArg(d, deadlineCall, c)
 }
 
-// deadlineCall fires a transaction's response deadline.
+// deadlineCall fires a transaction's response deadline. Its transaction
+// is live: retire cancels every deadline still pending.
 func deadlineCall(a any) {
 	c := a.(*callCtx)
-	e, id := c.e, c.id
+	e, t := c.e, c.t
+	for p := &t.deadlines; *p != nil; p = &(*p).next {
+		if *p == c {
+			*p = c.next
+			break
+		}
+	}
 	c.release()
-	e.onTxnDeadline(id)
+	e.onTxnDeadline(t)
+}
+
+// cancelDeadlines cancels a retiring transaction's pending deadlines and
+// returns their contexts to the pool.
+func (e *Engine) cancelDeadlines(t *txn) {
+	for c := t.deadlines; c != nil; {
+		next := c.next
+		e.kern.Cancel(c.h)
+		c.release()
+		c = next
+	}
+	t.deadlines = nil
 }
 
 // onTxnDeadline handles an expired response deadline: classify what the
 // transaction is still waiting for, and either keep waiting (paths that
 // are never faulted), release a completed access, or squash, scavenge and
 // retransmit with exponential backoff.
-func (e *Engine) onTxnDeadline(id ring.TxnID) {
-	t, ok := e.byID.Get(uint64(id))
-	if !ok || t.retired {
-		return // completed since; the deadline is stale
-	}
+func (e *Engine) onTxnDeadline(t *txn) {
 	if t.memPhase {
 		// The memory path is not faulted; its callback always arrives.
 		e.armDeadline(t)

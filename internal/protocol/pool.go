@@ -18,7 +18,8 @@ import (
 // schedules further events reuses the same record.
 
 // callCtx is the argument record for ring-side deferred calls: message
-// delivery, snoop completion, data transfer and the memory-read callback.
+// delivery, snoop completion, data transfer, the memory-read callback and
+// the response deadline.
 type callCtx struct {
 	e       *Engine
 	ringIdx int
@@ -29,6 +30,11 @@ type callCtx struct {
 	id      ring.TxnID
 	ver     uint64
 	dirty   bool
+	// A pending response deadline is linked into its transaction's
+	// deadline list through next, and h is its kernel event, so retire
+	// can cancel it (see armDeadlineIn).
+	next *callCtx
+	h    sim.Handle
 }
 
 func (e *Engine) newCall() *callCtx {

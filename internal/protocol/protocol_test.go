@@ -29,7 +29,7 @@ func testEngine(t *testing.T, alg config.Algorithm) (*sim.Kernel, *protocol.Engi
 	if err != nil {
 		t.Fatalf("NewEngine(%v): %v", alg, err)
 	}
-	e.SetInvariantChecker(1, func() error { return checker.Check(e) })
+	e.SetInvariantChecker(1, checker.New(e).Check)
 	return kern, e
 }
 
@@ -37,7 +37,7 @@ func testEngine(t *testing.T, alg config.Algorithm) (*sim.Kernel, *protocol.Engi
 func run(t *testing.T, kern *sim.Kernel, e *protocol.Engine) {
 	t.Helper()
 	kern.RunAll()
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Fatalf("drain check: %v", err)
 	}
 }
@@ -380,7 +380,7 @@ func TestExactDowngradesUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, func() error { return checker.Check(e) })
+	e.SetInvariantChecker(1, checker.New(e).Check)
 	// Node 0 accumulates far more supplier lines than predictor entries.
 	for i := 0; i < 200; i++ {
 		addr := cache.LineAddr(0x1000 + i*8)
@@ -391,7 +391,7 @@ func TestExactDowngradesUnderPressure(t *testing.T) {
 			kern.RunAll()
 		}
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()

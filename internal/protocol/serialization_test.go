@@ -93,7 +93,7 @@ func TestNoExclusiveWhileDowngradedSLExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, func() error { return checker.Check(e) })
+	e.SetInvariantChecker(1, checker.New(e).Check)
 	// Fill node 0 with three supplier lines in the same predictor set;
 	// the 2-entry predictor must downgrade one to S_L.
 	for i := 0; i < 3; i++ {
@@ -123,7 +123,7 @@ func TestNoExclusiveWhileDowngradedSLExists(t *testing.T) {
 	if st := e.LineState(5, 0, victim); st == cache.Exclusive {
 		t.Errorf("memory granted E while a downgraded S_L exists at node 0")
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -277,7 +277,7 @@ func TestSubsetFalseNegativeAtSupplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, func() error { return checker.Check(e) })
+	e.SetInvariantChecker(1, checker.New(e).Check)
 	// Node 0 acquires three supplier lines; the 2-entry predictor loses
 	// at least one (Subset evicts silently — no downgrade).
 	lines := []cache.LineAddr{0x200, 0x202, 0x204}
@@ -316,7 +316,7 @@ func TestSubsetFalseNegativeAtSupplier(t *testing.T) {
 	if s.ReadSnoopOps <= 12 {
 		t.Errorf("ReadSnoopOps = %d, want > 12 (extra snoops past the supplier)", s.ReadSnoopOps)
 	}
-	if err := checker.CheckDrained(e); err != nil {
+	if err := checker.New(e).CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,6 +67,10 @@ type txn struct {
 	// write's in-limbo data is installed (see handleCollision).
 	blockedMsgs []blockedMsg
 
+	// deadlines lists the response deadlines still pending for this
+	// transaction (fault runs only); retire cancels them.
+	deadlines *callCtx
+
 	retries int
 	// timeoutRetries counts only deadline-driven retransmits (fault
 	// runs). Collision squashes stay unbounded — age arbitration makes
@@ -594,8 +598,10 @@ func (e *Engine) retire(t *txn) {
 		e.kern.After(1, func() { e.restart(next) })
 	}
 	e.maybeCheck()
+	e.cancelDeadlines(t)
 	// All references are gone: byID/outstanding entries deleted, waiters
-	// drained, blocked messages redelivered. Recycle the record.
+	// drained, blocked messages redelivered, deadlines cancelled. Recycle
+	// the record.
 	e.freeTxn(t)
 }
 

@@ -41,6 +41,7 @@ type eventState uint8
 const (
 	evFree      eventState = iota // on the free list
 	evScheduled                   // linked into a wheel slot or the spill
+	evBatched                     // extracted into the running cycle's batch
 	evDead                        // cancelled; storage reclaimed lazily
 )
 
@@ -75,8 +76,10 @@ type Handle struct {
 }
 
 // Pending reports whether the handle still refers to a scheduled event.
+// An event stays pending until it fires, including while it waits in the
+// running cycle's batch.
 func (h Handle) Pending() bool {
-	return h.e != nil && h.e.gen == h.gen && h.e.state == evScheduled
+	return h.e != nil && h.e.gen == h.gen && (h.e.state == evScheduled || h.e.state == evBatched)
 }
 
 // When returns the firing cycle of a pending handle, or 0 for a stale one.
@@ -328,19 +331,25 @@ func (k *Kernel) AfterArg(delay Time, fn func(any), arg any) Handle {
 
 // Cancel prevents a pending event from running. Cancelling a stale handle
 // (already fired, already cancelled, or zero) is a no-op. The event's
-// storage is reclaimed lazily the next time the kernel walks the slot or
-// spill entry holding it.
+// storage is reclaimed lazily the next time the kernel walks the slot,
+// spill entry or running batch holding it. An event due in the running
+// cycle may be cancelled by an earlier event of that cycle: it never
+// fires.
 func (k *Kernel) Cancel(h Handle) {
 	if !h.Pending() {
 		return
 	}
 	e := h.e
+	batched := e.state == evBatched
 	e.state = evDead
 	e.gen++ // stale immediately; the slot walk reclaims storage later
 	e.fn = nil
 	e.argFn = nil
 	e.arg = nil
 	k.live--
+	if batched {
+		return // extractBatch already took it out of its slot's counts
+	}
 	switch {
 	case e.when < k.nearBase+nearSlots:
 		k.nearCnt[int(e.when)&nearMask]--
@@ -527,8 +536,9 @@ func (k *Kernel) peek() (Time, bool) {
 }
 
 // extractBatch unlinks every live event at cycle `now` from its near slot
-// into k.batch, ordered by seq. Dead events are reclaimed; live events at
-// other cycles (abnormal-regime slot sharing) are kept in place.
+// into k.batch, ordered by seq, and marks them evBatched. Dead events are
+// reclaimed; live events at other cycles (abnormal-regime slot sharing)
+// are kept in place.
 func (k *Kernel) extractBatch() {
 	i := int(k.now) & nearMask
 	var keep slotList
@@ -539,6 +549,7 @@ func (k *Kernel) extractBatch() {
 		case e.state == evDead:
 			k.recycleDead(e)
 		case e.when == k.now:
+			e.state = evBatched
 			k.batch = append(k.batch, e)
 		default:
 			keep.append(e)
@@ -566,9 +577,14 @@ func (k *Kernel) extractBatch() {
 }
 
 // requeueBatch returns unexecuted batch events to their slot after a Stop
-// or Interrupt mid-batch.
+// or Interrupt mid-batch, reclaiming the ones cancelled meanwhile.
 func (k *Kernel) requeueBatch(from int) {
 	for _, e := range k.batch[from:] {
+		if e.state == evDead {
+			k.recycleDead(e)
+			continue
+		}
+		e.state = evScheduled
 		k.place(e)
 	}
 	k.batch = k.batch[:0]
@@ -583,6 +599,11 @@ func (k *Kernel) execBatch() (cont, ran bool) {
 		return true, false
 	}
 	for bi, e := range k.batch {
+		if e.state == evDead {
+			// Cancelled by an earlier event of this batch.
+			k.recycleDead(e)
+			continue
+		}
 		if k.Interrupt != nil {
 			if k.sinceCheck++; k.sinceCheck >= interruptStride {
 				k.sinceCheck = 0

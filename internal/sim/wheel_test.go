@@ -185,16 +185,51 @@ func TestEndCycleBatching(t *testing.T) {
 }
 
 // refEvent is one entry of the reference scheduler used by the
-// cross-check tests.
+// cross-check tests. A sweeper, when it runs, cancels every event still
+// due in its own cycle; those sit in the kernel's running batch.
 type refEvent struct {
 	when      Time
 	seq       int
 	cancelled bool
+	sweeper   bool
+}
+
+// refOrder returns the sequence numbers of the events the reference
+// scheduler runs, in order: (when, seq) order, skipping cancelled events
+// and applying each sweeper that runs to the rest of its cycle.
+func refOrder(ref []*refEvent) []int {
+	live := append([]*refEvent(nil), ref...)
+	sort.SliceStable(live, func(a, b int) bool {
+		if live[a].when != live[b].when {
+			return live[a].when < live[b].when
+		}
+		return live[a].seq < live[b].seq
+	})
+	var want []int
+	for i, re := range live {
+		if re.cancelled {
+			continue
+		}
+		want = append(want, re.seq)
+		if !re.sweeper {
+			continue
+		}
+		for _, later := range live[i+1:] {
+			if later.when != re.when {
+				break
+			}
+			later.cancelled = true
+		}
+	}
+	return want
 }
 
 // TestWheelMatchesReferenceScheduler drives the kernel with randomized
 // schedules and cancellations spanning all three wheel regions, and
 // checks the execution order against a trivial sorted-list reference.
+// Some in-run cancels hit an event due in the running cycle, which the
+// kernel has already moved into its batch, and some runs stop mid-batch,
+// so the batch's remainder (cancelled entries included) is requeued.
 func TestWheelMatchesReferenceScheduler(t *testing.T) {
 	// Offsets are drawn across the near band, overflow band, spill band
 	// and the exact region boundaries.
@@ -210,15 +245,19 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 		var ref []*refEvent
 		var got []int
 		var handles []Handle
+		scheduleAt := func(at Time) int {
+			re := &refEvent{when: at, seq: len(ref)}
+			ref = append(ref, re)
+			i := re.seq
+			handles = append(handles, k.Schedule(re.when, func() { got = append(got, i) }))
+			return i
+		}
 		schedule := func(now Time) {
 			off := offsets[rng.Intn(len(offsets))]
 			if rng.Intn(2) == 0 {
 				off = Time(rng.Intn(1000))
 			}
-			re := &refEvent{when: now + off, seq: len(ref)}
-			ref = append(ref, re)
-			i := re.seq
-			handles = append(handles, k.Schedule(re.when, func() { got = append(got, i) }))
+			scheduleAt(now + off)
 		}
 		for i := 0; i < 40; i++ {
 			schedule(0)
@@ -232,33 +271,38 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 		// More work scheduled from inside the run, at random points.
 		for i := 0; i < 10; i++ {
 			at := Time(rng.Intn(2 * wheelSpan))
+			victim := -1
+			stop := rng.Intn(3) == 0
 			k.Schedule(at, func() {
 				schedule(k.Now())
+				if victim >= 0 {
+					// The victim is due in this cycle after this event:
+					// it is in the running batch and must still be
+					// pending until it fires.
+					if !handles[victim].Pending() && !ref[victim].cancelled {
+						t.Fatalf("seed %d: batched event %d not pending before it fired", seed, victim)
+					}
+					k.Cancel(handles[victim])
+					ref[victim].cancelled = true
+				}
 				// Occasionally cancel a still-pending earlier event.
 				if j := rng.Intn(len(handles)); handles[j].Pending() {
 					k.Cancel(handles[j])
 					ref[j].cancelled = true
 				}
+				if stop {
+					k.Stop()
+				}
 			})
+			if rng.Intn(2) == 0 {
+				victim = scheduleAt(at)
+			}
 		}
-		k.RunAll()
+		for k.Pending() > 0 {
+			k.RunAll()
+		}
 
-		var want []int
-		live := make([]*refEvent, 0, len(ref))
-		for _, re := range ref {
-			if !re.cancelled {
-				live = append(live, re)
-			}
-		}
-		sort.SliceStable(live, func(a, b int) bool {
-			if live[a].when != live[b].when {
-				return live[a].when < live[b].when
-			}
-			return live[a].seq < live[b].seq
-		})
-		for _, re := range live {
-			want = append(want, re.seq)
-		}
+		want := refOrder(ref)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: executed %d events, reference says %d", seed, len(got), len(want))
 		}
@@ -275,10 +319,16 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 }
 
 // FuzzWheelVsReference is the fuzzing entry for the same cross-check: the
-// fuzz input is interpreted as a schedule/cancel opcode stream.
+// fuzz input is interpreted as an opcode stream. A byte below 200
+// schedules an event; 200–227 cancels an earlier event before the run;
+// 228 and up schedules a sweeper in an earlier event's cycle, which
+// cancels the rest of that cycle's batch when it runs and, for an odd
+// byte, stops the run there so the batch's remainder is requeued.
 func FuzzWheelVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 200, 255, 3, 9})
 	f.Add([]byte{255, 255, 255, 0, 0, 128, 64, 32})
+	f.Add([]byte{5, 5, 230, 5, 5, 9})
+	f.Add([]byte{7, 229, 7, 7, 201, 7, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -295,33 +345,41 @@ func FuzzWheelVsReference(f *testing.F) {
 				ref = append(ref, re)
 				i := re.seq
 				handles = append(handles, k.Schedule(re.when, func() { got = append(got, i) }))
-			} else {
-				j := int(op) % len(handles)
+				continue
+			}
+			j := int(op) % len(handles)
+			if op < 228 {
 				if handles[j].Pending() {
 					k.Cancel(handles[j])
 					ref[j].cancelled = true
 				}
+				continue
 			}
+			re := &refEvent{when: ref[j].when, seq: len(ref), sweeper: true}
+			ref = append(ref, re)
+			i, stop := re.seq, op%2 == 1
+			handles = append(handles, k.Schedule(re.when, func() {
+				got = append(got, i)
+				for _, h := range handles {
+					if h.Pending() && h.When() == k.Now() {
+						k.Cancel(h)
+					}
+				}
+				if stop {
+					k.Stop()
+				}
+			}))
 		}
-		k.RunAll()
-		live := make([]*refEvent, 0, len(ref))
-		for _, re := range ref {
-			if !re.cancelled {
-				live = append(live, re)
-			}
+		for k.Pending() > 0 {
+			k.RunAll()
 		}
-		sort.SliceStable(live, func(a, b int) bool {
-			if live[a].when != live[b].when {
-				return live[a].when < live[b].when
-			}
-			return live[a].seq < live[b].seq
-		})
-		if len(got) != len(live) {
-			t.Fatalf("executed %d events, reference says %d", len(got), len(live))
+		want := refOrder(ref)
+		if len(got) != len(want) {
+			t.Fatalf("executed %d events, reference says %d", len(got), len(want))
 		}
-		for i, re := range live {
-			if got[i] != re.seq {
-				t.Fatalf("order diverges at %d: got %d, want %d", i, got[i], re.seq)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("order diverges at %d: got %d, want %d", i, got[i], want[i])
 			}
 		}
 	})
