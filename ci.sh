@@ -2,8 +2,8 @@
 # ci.sh — the repository's tier-1 gate. Every PR must keep this green.
 #
 #   ./ci.sh        vet + build + full test suite + race-detector passes,
-#                  a kernel fuzz pass, smokes, then the paired benchmark
-#                  gate
+#                  kernel and journal fuzz passes, smokes, then the paired
+#                  benchmark gate
 #
 # The race pass re-runs the library and root tests (including the
 # telemetry determinism tests) under -race, catching any data race a
@@ -42,6 +42,12 @@ echo "== wheel fuzz =="
 # batch and Stop requeues of a batch holding cancelled entries.
 go test -run '^$' -fuzz '^FuzzWheelVsReference$' -fuzztime 15s ./internal/sim
 
+echo "== journal fuzz =="
+# Opens arbitrary bytes as a write-ahead journal segment: Open must not
+# panic, and after one more append and a reopen the journal must hold
+# exactly the first open's records plus the append, dropping nothing.
+go test -run '^$' -fuzz '^FuzzJournalOpen$' -fuzztime 10s ./internal/journal
+
 echo "== fault-matrix smoke =="
 # Three documented fault plans x two algorithms, each with the continuous
 # invariant checker armed: every run must complete with zero violations.
@@ -72,8 +78,8 @@ echo "== federation smoke =="
 go test -run TestRingsimdFederation -count=1 ./cmd/ringsimd
 
 echo "== overload smoke =="
-# Overload resilience: flood a 2-worker daemon (sojourn aging, brownout
-# and rate limiting armed) with 8x its queue capacity in mixed
+# Overload resilience: flood a 2-worker daemon (sojourn aging and rate
+# limiting armed) with 8x its queue capacity in mixed
 # priorities and deadlines. Every admitted job must settle inside the
 # overload contract (done, expired, or shed — nothing else), the daemon
 # must not leak goroutines, and SIGTERM must still drain cleanly.

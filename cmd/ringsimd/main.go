@@ -10,16 +10,15 @@
 //	         [-wal DIR] [-walsync always|none] [-cachedir DIR]
 //	         [-coordinator] [-backends URL,URL,...] [-hedge 0s]
 //	         [-register http://COORDINATOR] [-heartbeat 5s]
-//	         [-sojourn 0s] [-brownout 0s] [-ratelimit 0] [-rateburst 0]
+//	         [-sojourn 0s] [-ratelimit 0] [-rateburst 0]
 //	         [-breaker N] [-breakerlatency 0s]
 //
 // Overload resilience (DESIGN.md §12), default-off: -sojourn enables
 // CoDel-style queue aging (sustained head-of-line sojourn above the
-// target sheds one low-priority job per interval); -brownout suspends
-// hedging and sheds negative-priority work while sojourn exceeds the
-// threshold; -ratelimit caps per-client_id admissions per second (burst
-// -rateburst). Submissions may carry deadline_ms — an end-to-end budget
-// the daemon enforces in the queue, on workers, and across federation.
+// target sheds one lowest-priority job per interval); -ratelimit caps
+// per-client_id admissions per second (burst -rateburst). Submissions
+// may carry deadline_ms — an end-to-end budget the daemon enforces in
+// the queue, on workers, and across federation.
 //
 // A coordinator keeps one circuit breaker per backend: -breaker
 // consecutive dispatch failures (or one failed health probe) open it,
@@ -93,7 +92,6 @@ var (
 	heartbeatFlag = flag.Duration("heartbeat", 5*time.Second, "registration heartbeat interval when -register is set")
 
 	sojournFlag        = flag.Duration("sojourn", 0, "CoDel-style queue-sojourn target: shed low-priority jobs while head-of-line wait stays above it (0 disables)")
-	brownoutFlag       = flag.Duration("brownout", 0, "queue-sojourn threshold past which hedging stops and negative-priority work is shed (0 disables)")
 	rateLimitFlag      = flag.Float64("ratelimit", 0, "per-client_id admissions per second (0 disables rate limiting)")
 	rateBurstFlag      = flag.Int("rateburst", 0, "token-bucket burst for -ratelimit (0 = ceil(ratelimit))")
 	breakerFlag        = flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = default 1)")
@@ -121,7 +119,6 @@ func run() error {
 		CacheDir:        *cacheDirFlag,
 		MaxRequestBytes: *maxBodyFlag,
 		SojournTarget:   *sojournFlag,
-		BrownoutSojourn: *brownoutFlag,
 		RateLimit:       *rateLimitFlag,
 		RateBurst:       *rateBurstFlag,
 		BreakerFailures: *breakerFlag,

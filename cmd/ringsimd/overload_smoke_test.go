@@ -34,7 +34,7 @@ func TestRingsimdOverloadSmoke(t *testing.T) {
 
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-drain", "20s", "-quiet",
 		"-workers", "2", "-queue", "8",
-		"-sojourn", "50ms", "-brownout", "150ms", "-ratelimit", "1000")
+		"-sojourn", "50ms", "-ratelimit", "1000")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatalf("stdout pipe: %v", err)
@@ -91,7 +91,7 @@ func TestRingsimdOverloadSmoke(t *testing.T) {
 		if err != nil {
 			rejected++
 			if !strings.Contains(err.Error(), "429") && !strings.Contains(err.Error(), "queue full") &&
-				!strings.Contains(err.Error(), "brownout") && !strings.Contains(err.Error(), "rate limit") {
+				!strings.Contains(err.Error(), "rate limit") {
 				t.Fatalf("flood submit %d: unexpected error %v", i, err)
 			}
 			continue

@@ -1,6 +1,6 @@
 // Package journal is an append-only write-ahead log for the job server:
 // the durability substrate that makes ringsimd crash-only. Every job
-// state transition (submitted, started, done, cancelled) is appended —
+// state transition (submitted, done, cancelled) is appended —
 // and fsynced, under the default policy — before the transition is
 // acknowledged to a client, so a SIGKILL at any instant loses nothing
 // that was promised. On reopen the log is replayed in order; because the
@@ -16,7 +16,9 @@
 // where L is the hex length of the JSON payload and C the hex CRC32
 // (IEEE) of it. The prefix makes torn tails unambiguous (a record is
 // only accepted when exactly L payload bytes and the trailing newline
-// are present), and the CRC rejects bit rot and half-written payloads.
+// are present, and a length that runs past the end of the segment is
+// torn without being read), and the CRC rejects bit rot and
+// half-written payloads.
 // A torn or corrupt tail is truncated on open — never parsed, never
 // fatal — which is exactly the crash-recovery contract: the only record
 // that can be torn is one whose append was never acknowledged.
@@ -47,9 +49,6 @@ const (
 	// original order), the fingerprint, and — for the first job of an
 	// execution — the raw wire spec to re-execute from.
 	KindSubmitted = "submitted"
-	// KindStarted: an execution was dispatched to a backend. Purely
-	// informational: a started-but-not-done job is requeued on replay.
-	KindStarted = "started"
 	// KindDone: an execution finished. With an empty Error the result is
 	// in the disk cache under the fingerprint; a non-empty Error records
 	// a deterministic simulation failure (re-running would reproduce it).
@@ -223,20 +222,20 @@ func replaySegment(path string) (records []Record, dropped int, err error) {
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: %w", err)
+	}
 
 	r := bufio.NewReader(f)
 	var good int64 // offset just past the last valid record
 	for {
-		rec, n, ok := readRecord(r)
+		rec, n, ok := readRecord(r, st.Size()-good)
 		if !ok {
 			break
 		}
 		good += int64(n)
 		records = append(records, rec)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
 	if st.Size() > good {
 		dropped = 1
@@ -247,10 +246,10 @@ func replaySegment(path string) (records []Record, dropped int, err error) {
 	return records, dropped, nil
 }
 
-// readRecord decodes one framed record; ok is false on EOF, a torn
-// frame, a CRC mismatch, or undecodable JSON (the caller truncates
-// there).
-func readRecord(r *bufio.Reader) (rec Record, n int, ok bool) {
+// readRecord decodes one framed record from r, which holds avail more
+// bytes of the segment; ok is false on EOF, a torn frame, a CRC
+// mismatch, or undecodable JSON (the caller truncates there).
+func readRecord(r *bufio.Reader, avail int64) (rec Record, n int, ok bool) {
 	prefix := make([]byte, prefixLen)
 	if _, err := io.ReadFull(r, prefix); err != nil {
 		return rec, 0, false
@@ -264,6 +263,12 @@ func readRecord(r *bufio.Reader) (rec Record, n int, ok bool) {
 	}
 	crc, err := strconv.ParseUint(string(prefix[9:17]), 16, 32)
 	if err != nil {
+		return rec, 0, false
+	}
+	// Only the payload is under the CRC, so the length is untrusted: one
+	// that runs past the segment's end is a torn frame, and must not size
+	// an allocation of up to 4 GiB.
+	if int64(plen)+1 > avail-prefixLen {
 		return rec, 0, false
 	}
 	payload := make([]byte, plen+1) // +1 for the trailing newline

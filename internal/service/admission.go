@@ -11,10 +11,10 @@ import (
 
 // This file is the overload-resilience layer (DESIGN.md §12): end-to-end
 // deadlines, CoDel-style queue aging, per-client token-bucket rate
-// limiting, honest Retry-After hints, and brownout mode. Everything here
-// is opt-in — a Config with the zero values behaves exactly like the
-// pre-overload server — and none of it touches what an admitted job
-// computes: shedding changes *which* jobs run, never their results.
+// limiting and honest Retry-After hints. Everything here is opt-in — a
+// Config with the zero values behaves exactly like the pre-overload
+// server — and none of it touches what an admitted job computes:
+// shedding changes *which* jobs run, never their results.
 
 // Overload sentinels the HTTP layer maps onto 429 + Retry-After.
 var (
@@ -26,11 +26,20 @@ var (
 	// while running. The job reports state "failed" with this error.
 	ErrExpired = errors.New("service: job deadline expired")
 	// errShed: the admission controller dropped the job to keep queue
-	// sojourn bounded (CoDel aging or brownout). Not exported: callers
-	// observe it as a failed state with a descriptive message and should
-	// treat it like backpressure, not like a spec error.
+	// sojourn bounded (CoDel aging). Not exported: callers observe it as
+	// a failed state with a descriptive message and should treat it like
+	// backpressure, not like a spec error.
 	errShed = errors.New("service: job shed under overload")
 )
+
+// deadlineFrom is the end-to-end deadline of a job admitted at t, or the
+// zero time when the spec has none.
+func (s JobSpec) deadlineFrom(t time.Time) time.Time {
+	if s.DeadlineMS <= 0 {
+		return time.Time{}
+	}
+	return t.Add(time.Duration(s.DeadlineMS) * time.Millisecond)
+}
 
 // overloadError wraps a 429-class sentinel with the server's honest
 // retry hint, computed from the measured drain rate. The HTTP layer
@@ -159,10 +168,9 @@ func (s *Server) pruneLimiterLocked(now time.Time) {
 }
 
 // ensureMaintLocked starts the maintenance goroutine that ages the
-// queue, sheds expired work and drives brownout transitions. Started
-// lazily — when the Config enables an overload feature, or on the first
-// admitted job with a deadline — so a default-configured server runs
-// exactly the goroutines it always did.
+// queue and sheds expired work. Started lazily — when the Config enables
+// queue aging, or on the first admitted job with a deadline — so a
+// default-configured server runs exactly the goroutines it always did.
 func (s *Server) ensureMaintLocked() {
 	if s.maintOn || s.draining {
 		return
@@ -173,8 +181,8 @@ func (s *Server) ensureMaintLocked() {
 }
 
 // maintTick paces the maintenance scan. 20ms bounds how stale an expiry
-// or brownout decision can be; the scan itself is O(queue) over a
-// bounded queue.
+// or aging decision can be; the scan itself is O(queue) over a bounded
+// queue.
 const maintTick = 20 * time.Millisecond
 
 func (s *Server) maintLoop() {
@@ -196,9 +204,8 @@ func (s *Server) maintLoop() {
 }
 
 // overloadScanLocked is one admission-control pass: shed queued work
-// whose deadline has passed, apply the CoDel-style sojourn control law,
-// and update brownout state. Called from the maintenance loop; harmless
-// to call more often.
+// whose deadline has passed, then apply the CoDel-style sojourn control
+// law. Called from the maintenance loop; harmless to call more often.
 func (s *Server) overloadScanLocked(now time.Time) {
 	// Expired-in-queue work is shed before it can ever reach a worker.
 	for _, ex := range s.queue.TakeExpired(now) {
@@ -233,23 +240,6 @@ func (s *Server) overloadScanLocked(now time.Time) {
 					sojourn.Round(time.Millisecond), target))
 			}
 			s.aboveSince = now
-		}
-	}
-
-	// Brownout: sojourn beyond the threshold means the queue is past
-	// what shedding alone corrects — stop spending capacity on optional
-	// work (negative priority) and on hedged re-execution. Hysteresis at
-	// half the threshold avoids flapping.
-	if threshold := s.cfg.BrownoutSojourn; threshold > 0 {
-		switch {
-		case !s.brownout && sojourn > threshold:
-			s.brownout = true
-			s.brownouts++
-			s.logf("brownout: queue sojourn %s exceeds %s (hedging off, optional work shed)",
-				sojourn.Round(time.Millisecond), threshold)
-		case s.brownout && sojourn < threshold/2:
-			s.brownout = false
-			s.logf("brownout over (queue sojourn %s)", sojourn.Round(time.Millisecond))
 		}
 	}
 }

@@ -21,8 +21,7 @@ import (
 
 // These tests cover the overload-resilience layer (DESIGN.md §12):
 // end-to-end deadlines, CoDel-style queue aging, per-client rate
-// limiting, honest Retry-After, brownout mode, and per-backend circuit
-// breakers. The invariant every test leans on: overload controls change
+// limiting, honest Retry-After, and per-backend circuit breakers. The invariant every test leans on: overload controls change
 // WHICH jobs run, never what an admitted job computes.
 
 // longSpec is a job that will not finish on its own within a test: it
@@ -227,61 +226,6 @@ func TestCoDelShedsLowestPriority(t *testing.T) {
 	}
 }
 
-// TestBrownoutShedsOptionalWork: sustained sojourn past the brownout
-// threshold flips the server into brownout — optional (negative
-// priority) submissions are refused while required work is still
-// admitted — and draining the queue ends it (hysteresis at half the
-// threshold).
-func TestBrownoutShedsOptionalWork(t *testing.T) {
-	s := mustNew(t, Config{Workers: 1, QueueCapacity: 16, BrownoutSojourn: 50 * time.Millisecond})
-	defer s.Close()
-
-	blocker, err := s.Submit(longSpec(440))
-	if err != nil {
-		t.Fatalf("submit blocker: %v", err)
-	}
-	waitBusy(t, s, 1)
-	queued, err := s.Submit(smallSpec(441)) // ages in the queue behind the blocker
-	if err != nil {
-		t.Fatalf("submit queued: %v", err)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for !s.Stats().BrownoutActive {
-		if time.Now().After(deadline) {
-			t.Fatal("brownout never engaged")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	optional := smallSpec(442)
-	optional.Priority = -1
-	_, err = s.Submit(optional)
-	if !errors.Is(err, ErrQueueFull) || !strings.Contains(err.Error(), "brownout") {
-		t.Fatalf("optional submit under brownout = %v, want a brownout rejection", err)
-	}
-	required, err := s.Submit(smallSpec(443))
-	if err != nil {
-		t.Fatalf("required submit under brownout: %v", err)
-	}
-
-	// Drain the queue: brownout must clear once sojourn recovers.
-	if _, err := s.Cancel(blocker.ID); err != nil {
-		t.Fatalf("cancel blocker: %v", err)
-	}
-	waitTerminal(t, s, queued.ID)
-	waitTerminal(t, s, required.ID)
-	for s.Stats().BrownoutActive {
-		if time.Now().After(deadline) {
-			t.Fatal("brownout never cleared after the queue drained")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := s.Stats().Brownouts; got == 0 {
-		t.Error("Brownouts = 0 after a brownout episode")
-	}
-}
-
 // breakerBackend is a real worker behind a fault-injection proxy: while
 // failing, job submissions get a 500 (a backend-side, failover-worthy
 // error) but health probes still pass — so only dispatch outcomes can
@@ -477,7 +421,7 @@ func TestObeyingClientEventuallyAdmitted(t *testing.T) {
 
 // TestChaosOverloadFlood is the acceptance chaos test: flood a small
 // server with 8x its queue capacity in mixed priorities and deadlines,
-// with aging and brownout armed. Required: expired jobs die with the
+// with aging armed. Required: expired jobs die with the
 // expiry error (never a worker result), rejected jobs see backpressure
 // errors only, every high-priority generous-deadline job that was
 // admitted completes, every completed result is bit-identical to a
@@ -486,10 +430,9 @@ func TestChaosOverloadFlood(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const capacity = 8
 	s := mustNew(t, Config{
-		Workers:         2,
-		QueueCapacity:   capacity,
-		SojournTarget:   50 * time.Millisecond,
-		BrownoutSojourn: 150 * time.Millisecond,
+		Workers:       2,
+		QueueCapacity: capacity,
+		SojournTarget: 50 * time.Millisecond,
 	})
 
 	type flooded struct {
@@ -522,7 +465,7 @@ func TestChaosOverloadFlood(t *testing.T) {
 		case err == nil:
 			jobs = append(jobs, flooded{spec: sp, id: st.ID})
 		case errors.Is(err, ErrQueueFull):
-			rejected++ // backpressure (queue full or brownout): the only legal rejection
+			rejected++ // backpressure (queue full): the only legal rejection
 		default:
 			t.Fatalf("flood submit %d: unexpected error %v", i, err)
 		}

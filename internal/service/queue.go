@@ -5,40 +5,25 @@ import (
 	"time"
 )
 
-// jobQueue is a bounded priority queue of pending executions: higher
-// Priority first, FIFO within a priority level (ordered by admission
-// sequence). Push refuses work beyond the capacity — the caller turns
-// that into HTTP 429 backpressure instead of queueing unboundedly.
+// jobQueue is the priority queue of pending executions: higher Priority
+// first, FIFO within a priority level (ordered by admission sequence).
+// Submit bounds it, refusing new work at QueueCapacity with HTTP 429
+// backpressure before anything is journaled; Push itself always admits,
+// so an execution that was admitted once (coming back off a dying backend
+// for failover, or recovered from the journal) is never lost to
+// backpressure meant for new submissions. It keeps its original admission
+// sequence, so it sorts ahead of everything submitted after it.
 //
 // The queue is not self-synchronising; the Server's mutex guards it.
 type jobQueue struct {
-	capacity int
-	items    execHeap
-}
-
-func newJobQueue(capacity int) *jobQueue {
-	return &jobQueue{capacity: capacity}
+	items execHeap
 }
 
 // Len reports the queue depth.
 func (q *jobQueue) Len() int { return len(q.items) }
 
-// Push admits an execution, or reports false when the queue is full.
-func (q *jobQueue) Push(ex *execution) bool {
-	if len(q.items) >= q.capacity {
-		return false
-	}
-	ex.enqueuedAt = time.Now()
-	heap.Push(&q.items, ex)
-	return true
-}
-
-// Requeue re-admits an execution past the capacity check: a job that was
-// already admitted once (and is coming back off a dying backend for
-// failover) must not be lost to backpressure meant for new submissions.
-// It keeps its original admission sequence, so it sorts ahead of
-// everything submitted after it.
-func (q *jobQueue) Requeue(ex *execution) {
+// Push queues an execution and stamps its enqueue time for sojourn aging.
+func (q *jobQueue) Push(ex *execution) {
 	ex.enqueuedAt = time.Now()
 	heap.Push(&q.items, ex)
 }

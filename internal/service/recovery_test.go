@@ -5,12 +5,16 @@ import (
 	"flexsnoop"
 	"flexsnoop/internal/journal"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // This file tests crash recovery at the package level: journals are
@@ -84,9 +88,11 @@ func TestRecoveryRestoresDoneJobs(t *testing.T) {
 }
 
 // TestRecoveryRequeuesIncomplete simulates a kill -9: a journal with
-// submitted (and one started) records but no completions. The restarted
-// server requeues everything, preserving priority order and the
-// original job IDs, and runs the jobs to completion.
+// submitted records but no completions. The restarted server requeues
+// everything, preserving priority order and the original job IDs, and
+// runs the jobs to completion. The journal also holds a "started"
+// record, which older builds appended on every dispatch: such journals
+// must still replay.
 func TestRecoveryRequeuesIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -114,7 +120,7 @@ func TestRecoveryRequeuesIncomplete(t *testing.T) {
 		}
 	}
 	// One was mid-run when the "crash" hit: requeued all the same.
-	if err := j.Append(journal.Record{Kind: journal.KindStarted, Seq: 1, Fingerprint: fps[1]}); err != nil {
+	if err := j.Append(journal.Record{Kind: "started", Seq: 1, Fingerprint: fps[1]}); err != nil {
 		t.Fatalf("Append started: %v", err)
 	}
 	j.Close()
@@ -189,6 +195,140 @@ func TestRecoveryCancelledStaysCancelled(t *testing.T) {
 	}
 	if got := s.Stats().RunsCompleted; got != 0 {
 		t.Errorf("cancelled job ran anyway (%d completions)", got)
+	}
+}
+
+// TestRecoveryFailedStaysFailed: two journals restore a failed job. One
+// has a done record that carries a deterministic failure; the other has
+// a submitted record whose spec was lost, with no done record. After
+// replay neither job has an execution: each reports failed with its
+// error, streams an empty metrics series, and ignores Cancel. A second
+// restart, from the compacted journal, restores the same state.
+func TestRecoveryFailedStaysFailed(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	j, _, err := journal.Open(journal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	must := func(rec journal.Record) {
+		t.Helper()
+		if err := j.Append(rec); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	failed, lost := mustJob(t, smallSpec(61)), mustJob(t, smallSpec(62))
+	raw, _ := json.Marshal(smallSpec(61))
+	must(journal.Record{Kind: journal.KindSubmitted, JobID: "j-000001", Seq: 1,
+		Fingerprint: failed.Fingerprint(), Spec: raw})
+	must(journal.Record{Kind: journal.KindDone, Seq: 1, Fingerprint: failed.Fingerprint(),
+		Error: "simulation failed: deterministic"})
+	must(journal.Record{Kind: journal.KindSubmitted, JobID: "j-000002", Seq: 2,
+		Fingerprint: lost.Fingerprint()})
+	j.Close()
+
+	want := map[string]string{
+		"j-000001": "simulation failed: deterministic",
+		"j-000002": "service: recovered job lost both its result and its spec",
+	}
+	for restart := 1; restart <= 2; restart++ {
+		s := mustNew(t, Config{Workers: 1, WALDir: walDir})
+		ts := httptest.NewServer(s.Handler())
+		for id, msg := range want {
+			if st, err := s.Status(id); err != nil || st.State != StateFailed || st.Error != msg {
+				t.Errorf("restart %d: %s = %+v, %v; want failed with %q", restart, id, st, err, msg)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/metrics")
+			if err != nil {
+				t.Fatalf("GET metrics: %v", err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || len(body) != 0 {
+				t.Errorf("restart %d: %s metrics = %d with %d bytes, want an empty 200 stream",
+					restart, id, resp.StatusCode, len(body))
+			}
+			records := s.Stats().WALRecords
+			if st, err := s.Cancel(id); err != nil || st.State != StateFailed || st.Error != msg {
+				t.Errorf("restart %d: Cancel(%s) = %+v, %v; want it unchanged", restart, id, st, err)
+			}
+			if got := s.Stats().WALRecords; got != records {
+				t.Errorf("restart %d: Cancel(%s) of a failed job journaled %d records", restart, id, got-records)
+			}
+		}
+		if st := s.Stats(); st.QueueDepth != 0 || st.WALRequeued != 0 {
+			t.Errorf("restart %d: queue depth %d, %d requeued; want nothing to run",
+				restart, st.QueueDepth, st.WALRequeued)
+		}
+		ts.Close()
+		s.Close()
+	}
+}
+
+// TestJournalRecordsEachTransitionOnce reads back the journal a server
+// wrote: one job runs to done; a deduplicated job's first submitter is
+// cancelled while the shared execution is still queued; a running job
+// is cancelled during Drain, which cancels the queued execution. The
+// journal holds no "started" records and exactly one cancelled record
+// per cancelled job.
+func TestJournalRecordsEachTransitionOnce(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	s := mustNew(t, Config{Workers: 1, QueueCapacity: 8, WALDir: walDir})
+	first, err := s.Submit(smallSpec(70))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, first.ID, StateDone)
+
+	blocker, err := s.Submit(longSpec(71))
+	if err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	waitBusy(t, s, 1)
+	a, err := s.Submit(smallSpec(72))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	b, err := s.Submit(smallSpec(72)) // deduplicated onto a's queued execution
+	if err != nil {
+		t.Fatalf("Submit dedup: %v", err)
+	}
+	if _, err := s.Cancel(a.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	if st, _ := s.Status(b.ID); st.State != StateQueued {
+		t.Fatalf("deduplicated job after its first submitter's cancel: %q, want queued", st.State)
+	}
+
+	// Drain cancels the queued execution at once; the blocker runs on
+	// until it is cancelled here.
+	drained := make(chan struct{})
+	go func() { s.Drain(time.Minute); close(drained) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.Cancel(blocker.ID); err != nil {
+		t.Fatalf("Cancel blocker: %v", err)
+	}
+	<-drained
+
+	j, records, err := journal.Open(journal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	j.Close()
+	kinds := map[string]int{}
+	cancels := map[string]int{}
+	for _, rec := range records {
+		kinds[rec.Kind]++
+		if rec.Kind == journal.KindCancelled {
+			cancels[rec.JobID]++
+		}
+	}
+	if want := map[string]int{journal.KindSubmitted: 4, journal.KindDone: 1, journal.KindCancelled: 3}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("journal record kinds = %v, want %v", kinds, want)
+	}
+	if want := map[string]int{blocker.ID: 1, a.ID: 1, b.ID: 1}; !reflect.DeepEqual(cancels, want) {
+		t.Errorf("cancelled records per job = %v, want %v", cancels, want)
 	}
 }
 

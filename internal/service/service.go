@@ -69,10 +69,6 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result cache (default
 	// 256, LRU eviction). Zero disables caching entirely.
 	CacheEntries int
-	// FinishedJobRetention bounds how many finished (done, failed,
-	// canceled) job records remain queryable (default 1024). Older
-	// finished jobs are forgotten oldest-first.
-	FinishedJobRetention int
 
 	// Backends lists remote ringsimd base URLs to federate with. A
 	// non-empty list (or Coordinator) turns this server into a
@@ -102,11 +98,6 @@ type Config struct {
 	// shed error) per interval until sojourn recovers. Zero disables
 	// aging (the queue only sheds by rejecting new work).
 	SojournTarget time.Duration
-	// BrownoutSojourn enables brownout mode: when queue sojourn exceeds
-	// it, hedged dispatch is suspended and optional work (negative
-	// priority) is shed at admission, until sojourn falls below half the
-	// threshold. Zero disables brownout.
-	BrownoutSojourn time.Duration
 	// RateLimit enables per-client admission control: each distinct
 	// JobSpec.ClientID may be admitted at most this many jobs per second
 	// (token bucket, burst RateBurst). Submissions without a client_id
@@ -145,9 +136,6 @@ type Config struct {
 	// power loss) or "none" (survives kill -9 but defers flushing to the
 	// OS). See journal.SyncPolicy.
 	WALSync string
-	// WALSegmentBytes overrides the journal segment rotation size
-	// (default 4 MiB; tests shrink it).
-	WALSegmentBytes int64
 	// CacheDir enables the disk tier of the result cache:
 	// content-addressed files keyed by fingerprint with an embedded
 	// sha256 verified on every read. A corrupt or truncated entry is a
@@ -187,9 +175,6 @@ func (c Config) withDefaults() Config {
 	} else if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
-	if c.FinishedJobRetention <= 0 {
-		c.FinishedJobRetention = 1024
-	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 1 << 20
 	}
@@ -208,21 +193,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// overloadConfigured reports whether any opt-in overload feature needs
-// the maintenance goroutine from startup (deadline jobs start it lazily).
-func (c Config) overloadConfigured() bool {
-	return c.SojournTarget > 0 || c.BrownoutSojourn > 0
-}
+// finishedJobRetention bounds how many finished (done, failed, canceled)
+// jobs remain queryable. Older finished jobs are forgotten oldest-first.
+const finishedJobRetention = 1024
 
 // execution is one actual simulation: the unit the queue, the worker
 // pool and the in-flight dedup map operate on. Several jobs (identical
 // submissions) may be attached to one execution.
 type execution struct {
-	fp       string
-	job      flexsnoop.Job
-	spec     JobSpec // original wire spec, re-submittable to a remote backend
-	label    string  // "Algorithm/workload" pprof + log label
-	interval uint64  // metrics streaming interval
+	fp    string
+	job   flexsnoop.Job
+	spec  JobSpec // original wire spec, re-submittable to a remote backend
+	label string  // "Algorithm/workload" pprof + log label
 
 	priority   int
 	seq        uint64
@@ -260,6 +242,7 @@ type job struct {
 	cached   bool
 	canceled bool
 	result   flexsnoop.Result // cached result (exec == nil only)
+	err      error            // failure recovered from the journal (exec == nil only)
 }
 
 // JobStatus is the API's view of one job.
@@ -286,6 +269,9 @@ func (j *job) statusLocked() JobStatus {
 		st.Result = &res
 	case j.canceled:
 		st.State = StateCanceled
+	case j.exec == nil:
+		st.State = StateFailed
+		st.Error = j.err.Error()
 	default:
 		st.State = j.exec.state
 		switch j.exec.state {
@@ -310,7 +296,7 @@ type Server struct {
 	jobs     map[string]*job
 	order    []string // job insertion order, for finished-job eviction
 	execs    map[string]*execution
-	queue    *jobQueue
+	queue    jobQueue
 	cache    *resultCache
 	wal      *journal.Journal // nil without Config.WALDir
 	backends []*backend       // execution substrates; index 0 is local when present
@@ -326,12 +312,11 @@ type Server struct {
 	// per-client token buckets; drainPerSec is the EWMA of executions
 	// leaving the system, from which Retry-After promises are computed;
 	// aboveSince tracks how long queue sojourn has exceeded the CoDel
-	// target; brownout suspends hedging and optional work.
+	// target.
 	limiter     map[string]*tokenBucket
 	lastDrain   time.Time
 	drainPerSec float64
 	aboveSince  time.Time
-	brownout    bool
 	maintOn     bool // the maintenance goroutine is running
 
 	// verifying tracks executions finalised as Done while another attempt
@@ -340,19 +325,9 @@ type Server struct {
 	// interrupt it.
 	verifying map[*execution]struct{}
 
-	// Cumulative counters (reported by /statsz).
-	submitted, rejected, deduped       uint64
-	rateLimited, jobsExpired, jobsShed uint64
-	brownouts                          uint64
-	runsCompleted, runsFailed          uint64
-	runsCanceled, failovers            uint64
-	hedges, hedgeWins, hedgeMismatches uint64
-	walReplayed, walRequeued           uint64
-	walErrors                          uint64
-	simCycles                          uint64
-	faultDrops, faultDups, faultDelays uint64
-	faultStalls, snoopTimeouts         uint64
-	degradedLines                      uint64
+	// stats holds the cumulative counters /statsz reports; Stats copies
+	// it and fills in the live fields.
+	stats Stats
 }
 
 // New builds and starts a server: its dispatcher (and, for a
@@ -370,7 +345,6 @@ func New(cfg Config) (*Server, error) {
 		stop:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.queue = newJobQueue(s.cfg.QueueCapacity)
 	var disk *diskCache
 	if s.cfg.CacheDir != "" {
 		var err error
@@ -391,9 +365,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		wal, records, err := journal.Open(journal.Options{
-			Dir: s.cfg.WALDir, Sync: sync, SegmentBytes: s.cfg.WALSegmentBytes,
-		})
+		wal, records, err := journal.Open(journal.Options{Dir: s.cfg.WALDir, Sync: sync})
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +388,9 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.prober()
 	}
-	if s.cfg.overloadConfigured() {
+	if s.cfg.SojournTarget > 0 {
+		// Aging needs the maintenance goroutine from startup; deadline
+		// jobs start it lazily.
 		s.mu.Lock()
 		s.ensureMaintLocked()
 		s.mu.Unlock()
@@ -442,23 +416,20 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	fp := fj.Fingerprint()
 	now := time.Now()
-	var deadline time.Time
-	if spec.DeadlineMS > 0 {
-		deadline = now.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	}
+	deadline := spec.deadlineFrom(now)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return JobStatus{}, ErrDraining
 	}
-	s.submitted++
+	s.stats.JobsSubmitted++
 
 	// Per-client admission control precedes everything else: a client
 	// over its budget is told exactly when its next token arrives.
 	if s.cfg.RateLimit > 0 && spec.ClientID != "" {
 		if wait := s.takeTokenLocked(spec.ClientID, now); wait > 0 {
-			s.rateLimited++
+			s.stats.JobsRateLimited++
 			return JobStatus{}, &overloadError{
 				err:        fmt.Errorf("%w: client %q over %g jobs/s", ErrRateLimited, spec.ClientID, s.cfg.RateLimit),
 				retryAfter: wait,
@@ -492,9 +463,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 			return JobStatus{}, err
 		}
 		j := s.newJobLocked(fp, ex)
-		ex.jobs = append(ex.jobs, j)
-		ex.live++
-		s.deduped++
+		s.stats.JobsDeduped++
 		// A deduped submission extends a queued execution's deadline to the
 		// most generous of its attached jobs; one without a deadline clears
 		// it. A running execution keeps its budget — its context deadline is
@@ -510,38 +479,38 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		return j.statusLocked(), nil
 	}
 
-	// Brownout sheds optional work at admission: capacity spent on
-	// negative-priority jobs now would push required work past its
-	// deadlines.
-	if s.brownout && spec.Priority < 0 {
-		s.rejected++
-		return JobStatus{}, &overloadError{
-			err:        fmt.Errorf("%w: brownout sheds optional (negative-priority) work", ErrQueueFull),
-			retryAfter: s.retryAfterLocked(),
-		}
-	}
-
 	// Backpressure precedes the journal append: once a submitted record
 	// is durable, admission must not fail, or replay would resurrect a
 	// job the client was told to retry.
 	if s.queue.Len() >= s.cfg.QueueCapacity {
-		s.rejected++
+		s.stats.JobsRejected++
 		return JobStatus{}, &overloadError{err: ErrQueueFull, retryAfter: s.retryAfterLocked()}
 	}
 	if err := s.walSubmitLocked(spec, fp); err != nil {
 		return JobStatus{}, err
 	}
+	// s.seq+1 is the admission sequence of the job minted below.
+	ex := s.enqueueLocked(spec, fj, fp, spec.Priority, s.seq+1, deadline)
+	j := s.newJobLocked(fp, ex)
+	s.cond.Signal()
+	s.logf("job %s %s queued (%s, priority %d)", j.id, ex.label, shortFP(fp), spec.Priority)
+	return j.statusLocked(), nil
+}
 
-	interval := spec.Options.IntervalCycles
+// enqueueLocked builds the execution of fingerprint fp, queues it and
+// indexes it for dedup. Submit and journal replay both create executions
+// here, with the priority and admission sequence of the execution's first
+// job. A deadline starts the maintenance goroutine, which is what sheds
+// the execution if its budget runs out in the queue.
+func (s *Server) enqueueLocked(spec JobSpec, fj flexsnoop.Job, fp string, priority int, seq uint64, deadline time.Time) *execution {
 	ctx, cancel := context.WithCancel(context.Background())
 	ex := &execution{
 		fp:       fp,
 		job:      fj,
 		spec:     spec,
 		label:    fj.Algorithm.String() + "/" + fj.Workload,
-		interval: interval,
-		priority: spec.Priority,
-		seq:      s.seq + 1, // the admission sequence of the job minted below
+		priority: priority,
+		seq:      seq,
 		deadline: deadline,
 		state:    StateQueued,
 		ctx:      ctx,
@@ -549,34 +518,27 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		hub:      newMetricsHub(),
 		done:     make(chan struct{}),
 	}
-	if !s.queue.Push(ex) {
-		cancel()
-		s.rejected++
-		return JobStatus{}, &overloadError{err: ErrQueueFull, retryAfter: s.retryAfterLocked()}
-	}
-	j := s.newJobLocked(fp, ex)
-	ex.jobs = []*job{j}
-	ex.live = 1
-	s.execs[fp] = ex
 	if !deadline.IsZero() {
-		// The maintenance goroutine is what sheds this job if its budget
-		// runs out in the queue.
 		s.ensureMaintLocked()
 	}
-	s.cond.Signal()
-	s.logf("job %s %s queued (%s, priority %d)", j.id, ex.label, shortFP(fp), spec.Priority)
-	return j.statusLocked(), nil
+	s.queue.Push(ex)
+	s.execs[fp] = ex
+	return ex
 }
 
 // nextJobID previews the ID newJobLocked will mint, so the journal
 // record written before the acknowledgment names the job it admits.
 func (s *Server) nextJobID() string { return fmt.Sprintf("j-%06d", s.seq+1) }
 
-// newJobLocked allocates a job record and evicts over-retention finished
-// jobs oldest-first.
+// newJobLocked mints a job, attaches it to its execution (nil for a cache
+// hit), and evicts over-retention finished jobs oldest-first.
 func (s *Server) newJobLocked(fp string, ex *execution) *job {
 	s.seq++
 	j := &job{id: fmt.Sprintf("j-%06d", s.seq), seq: s.seq, fp: fp, exec: ex}
+	if ex != nil {
+		ex.jobs = append(ex.jobs, j)
+		ex.live++
+	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.evictFinishedLocked()
@@ -610,9 +572,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	}
 	// Journal the cancellation before acknowledging it: a cancel the
 	// client saw succeed must not come back from the dead on replay.
-	if err := s.walAppendLocked(journal.Record{
-		Kind: journal.KindCancelled, JobID: j.id, Seq: j.seq, Fingerprint: j.fp,
-	}); err != nil {
+	if err := s.walAppendLocked(cancelRecord(j)); err != nil {
 		return JobStatus{}, err
 	}
 	j.canceled = true
@@ -631,8 +591,9 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
-// Stream returns the metrics hub for a job's execution. A cache-hit job
-// has no execution and streams nothing: ok is true with a nil hub.
+// Stream returns the metrics hub for a job's execution. A job with no
+// execution (a cache hit, or a job recovered from the journal as
+// finished) streams nothing: the hub is nil and so is the error.
 func (s *Server) Stream(id string) (hub *metricsHub, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -664,11 +625,6 @@ func (s *Server) dispatcher() {
 			return // Drain has already cancelled everything still queued
 		}
 		ex := s.queue.Pop()
-		if ex.live == 0 {
-			// Every attached job was cancelled while queued.
-			s.finalizeLocked(ex, flexsnoop.Result{}, context.Canceled)
-			continue
-		}
 		// Pop-time expiry check: between maintenance scans a deadline can
 		// pass; a worker must never start a job its caller has given up on.
 		if now := time.Now(); !ex.deadline.IsZero() && !now.Before(ex.deadline) {
@@ -697,15 +653,6 @@ func (s *Server) dispatchLocked(b *backend, ex *execution, hedge bool) {
 	}
 	ex.running++
 	ex.state = StateRunning
-	if !hedge {
-		// Informational: replay requeues a started-but-not-done job
-		// either way, but the record dates the dispatch for operators.
-		if err := s.walAppendLocked(journal.Record{
-			Kind: journal.KindStarted, Seq: ex.seq, Fingerprint: ex.fp,
-		}); err != nil {
-			s.logf("wal: %v (job %s keeps running)", err, ex.label)
-		}
-	}
 	s.wg.Add(1)
 	go s.runOn(b, ex, hedge)
 }
@@ -731,15 +678,12 @@ func (s *Server) hedgeTimer(primary *backend, ex *execution) {
 	if ex.state != StateRunning || ex.hedged || s.draining || ex.ctx.Err() != nil {
 		return
 	}
-	if s.brownout {
-		return // brownout: speculative re-execution is the first luxury cut
-	}
 	b := s.pickLocked(primary)
 	if b == nil {
 		return // no second eligible backend with a free slot
 	}
 	ex.hedged = true
-	s.hedges++
+	s.stats.Hedges++
 	s.logf("job %s hedged onto %s after %s (%s)", ex.label, b.name, s.cfg.HedgeDelay, shortFP(ex.fp))
 	s.dispatchLocked(b, ex, true)
 }
@@ -791,7 +735,7 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 		if err == nil && ex.state == StateDone {
 			b.completed++
 			if !reflect.DeepEqual(res, ex.result) {
-				s.hedgeMismatches++
+				s.stats.HedgeMismatches++
 				s.logf("INTEGRITY ERROR: hedged re-execution of %s on %s diverged from the accepted result (%s)",
 					ex.label, b.name, shortFP(ex.fp))
 			}
@@ -812,7 +756,7 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 		return
 	}
 	if hedge && err == nil {
-		s.hedgeWins++
+		s.stats.HedgeWins++
 	}
 
 	// Failover: a remote backend failing for backend-side reasons while
@@ -820,7 +764,7 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 	// to the queue for another backend (bounded).
 	if b.client != nil && err != nil && transient(err) && ex.ctx.Err() == nil && !s.draining {
 		b.failovers++
-		s.failovers++
+		s.stats.Failovers++
 		ex.attempts++
 		ex.lastErr = err
 		// Retry on another backend — unless the retries are spent, or no
@@ -828,7 +772,7 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 		// the job until an operator notices the whole fleet is down).
 		if ex.attempts <= s.cfg.DispatchRetries && s.anyAvailableLocked() {
 			ex.state = StateQueued
-			s.queue.Requeue(ex)
+			s.queue.Push(ex)
 			s.logf("job %s failing over from %s (attempt %d/%d): %v",
 				ex.label, b.name, ex.attempts, s.cfg.DispatchRetries, err)
 			return
@@ -862,7 +806,7 @@ func (s *Server) runExecution(ex *execution) (res flexsnoop.Result, err error) {
 	opts := ex.job.Options
 	opts.Telemetry = &flexsnoop.TelemetryOptions{
 		OnRow:          ex.hub.publish,
-		IntervalCycles: ex.interval,
+		IntervalCycles: ex.spec.Options.IntervalCycles,
 	}
 	pprof.Do(ctx, pprof.Labels("job", ex.label), func(ctx context.Context) {
 		res, err = flexsnoop.RunJobContext(ctx, flexsnoop.Job{
@@ -876,6 +820,9 @@ func (s *Server) runExecution(ex *execution) (res flexsnoop.Result, err error) {
 
 // finalizeLocked moves an execution to its terminal state, feeds the
 // cache and counters, journals the completion, and releases waiters.
+// The transition is decided before its record is appended, so a failed
+// append here is only counted and logged (by walAppendLocked): replay
+// then re-runs the execution, which determinism makes harmless.
 func (s *Server) finalizeLocked(ex *execution, res flexsnoop.Result, err error) {
 	delete(s.execs, ex.fp)
 	s.queue.Remove(ex) // no-op unless a hedge settled it while still queued for failover
@@ -889,27 +836,24 @@ func (s *Server) finalizeLocked(ex *execution, res flexsnoop.Result, err error) 
 		// durable "done" pointing at a missing result. (Replay tolerates it
 		// anyway — the job is re-run — but the common case should not.)
 		if cerr := s.cache.Put(ex.fp, res); cerr != nil {
-			s.walErrors++
+			s.stats.WALErrors++
 			s.logf("wal: persisting result of %s: %v (job completes; replay would re-run it)", ex.label, cerr)
 		}
-		if werr := s.walAppendLocked(journal.Record{
-			Kind: journal.KindDone, Seq: ex.seq, Fingerprint: ex.fp,
-		}); werr != nil {
-			s.logf("wal: %v (completion of %s not journaled)", werr, ex.label)
-		}
-		s.runsCompleted++
-		s.simCycles += uint64(res.Cycles)
-		s.faultDrops += res.Stats.FaultDrops
-		s.faultDups += res.Stats.FaultDups
-		s.faultDelays += res.Stats.FaultDelays
-		s.faultStalls += res.Stats.FaultStalls
-		s.snoopTimeouts += res.Stats.SnoopTimeouts
-		s.degradedLines += res.Stats.DegradedLines
+		_ = s.walAppendLocked(journal.Record{Kind: journal.KindDone, Seq: ex.seq, Fingerprint: ex.fp})
+		st := &s.stats
+		st.RunsCompleted++
+		st.SimCyclesTotal += uint64(res.Cycles)
+		st.FaultDrops += res.Stats.FaultDrops
+		st.FaultDups += res.Stats.FaultDups
+		st.FaultDelays += res.Stats.FaultDelays
+		st.FaultStalls += res.Stats.FaultStalls
+		st.SnoopTimeouts += res.Stats.SnoopTimeouts
+		st.DegradedLines += res.Stats.DegradedLines
 		s.logf("job done %s (%d cycles)", ex.label, res.Cycles)
 	case errors.Is(err, context.Canceled):
 		ex.state = StateCanceled
 		ex.err = err
-		s.runsCanceled++
+		s.stats.RunsCanceled++
 		s.logf("job canceled %s", ex.label)
 	case errors.Is(err, ErrExpired), errors.Is(err, errShed),
 		errors.Is(err, context.DeadlineExceeded):
@@ -922,20 +866,11 @@ func (s *Server) finalizeLocked(ex *execution, res flexsnoop.Result, err error) 
 			err = fmt.Errorf("%w: %v", ErrExpired, err)
 		}
 		ex.err = err
-		for _, j := range ex.jobs {
-			if j.canceled {
-				continue
-			}
-			if werr := s.walAppendLocked(journal.Record{
-				Kind: journal.KindCancelled, JobID: j.id, Seq: j.seq, Fingerprint: j.fp,
-			}); werr != nil {
-				s.logf("wal: %v (shedding of %s not journaled)", werr, j.id)
-			}
-		}
+		s.journalCancelsLocked(ex)
 		if errors.Is(err, errShed) {
-			s.jobsShed++
+			s.stats.JobsShed++
 		} else {
-			s.jobsExpired++
+			s.stats.JobsExpired++
 		}
 		s.logf("job shed %s: %v", ex.label, err)
 	default:
@@ -943,12 +878,8 @@ func (s *Server) finalizeLocked(ex *execution, res flexsnoop.Result, err error) 
 		ex.err = err
 		// A deterministic failure would recur on replay: journal it as done
 		// with the error so restart does not loop on a poisoned spec.
-		if werr := s.walAppendLocked(journal.Record{
-			Kind: journal.KindDone, Seq: ex.seq, Fingerprint: ex.fp, Error: err.Error(),
-		}); werr != nil {
-			s.logf("wal: %v (failure of %s not journaled)", werr, ex.label)
-		}
-		s.runsFailed++
+		_ = s.walAppendLocked(journal.Record{Kind: journal.KindDone, Seq: ex.seq, Fingerprint: ex.fp, Error: err.Error()})
+		s.stats.RunsFailed++
 		s.logf("job failed %s: %v", ex.label, err)
 	}
 	if ex.state == StateDone && ex.running > 0 && !s.draining {
@@ -984,22 +915,11 @@ func (s *Server) Drain(timeout time.Duration) {
 	if !already {
 		close(s.stop) // stops the prober
 	}
-	for {
-		ex := s.queue.Pop()
-		if ex == nil {
-			break
-		}
-		for _, j := range ex.jobs {
-			j.canceled = true
-			// Graceful shutdown journals the cancellations it implies, so a
-			// restart does not resurrect jobs the operator chose to drop —
-			// the journal distinguishes drain from a crash.
-			if err := s.walAppendLocked(journal.Record{
-				Kind: journal.KindCancelled, JobID: j.id, Seq: j.seq, Fingerprint: j.fp,
-			}); err != nil {
-				s.logf("wal: %v (drain cancellation of %s not journaled)", err, j.id)
-			}
-		}
+	for ex := s.queue.Pop(); ex != nil; ex = s.queue.Pop() {
+		// Graceful shutdown journals the cancellations it implies, so a
+		// restart does not resurrect jobs the operator chose to drop —
+		// the journal distinguishes drain from a crash.
+		s.journalCancelsLocked(ex)
 		s.finalizeLocked(ex, flexsnoop.Result{}, context.Canceled)
 	}
 	// Hedge losers whose winner already settled have nothing left to
@@ -1069,7 +989,7 @@ type Stats struct {
 
 	// Overload resilience (DESIGN.md §12). QueueOldestAgeSeconds is the
 	// head-of-line sojourn — the age of the oldest queued job — the signal
-	// aging and brownout act on. JobsExpired counts jobs shed (queued) or
+	// aging acts on. JobsExpired counts jobs shed (queued) or
 	// interrupted (running) past their deadline; JobsShed counts CoDel
 	// sojourn sheds; JobsRateLimited counts 429s from per-client admission
 	// control. Goroutines is runtime.NumGoroutine, for leak checks under
@@ -1078,8 +998,6 @@ type Stats struct {
 	JobsExpired           uint64  `json:"jobs_expired,omitempty"`
 	JobsShed              uint64  `json:"jobs_shed,omitempty"`
 	JobsRateLimited       uint64  `json:"jobs_rate_limited,omitempty"`
-	Brownouts             uint64  `json:"brownouts,omitempty"`
-	BrownoutActive        bool    `json:"brownout_active,omitempty"`
 	Goroutines            int     `json:"goroutines"`
 
 	CacheEntries  int     `json:"cache_entries"`
@@ -1125,72 +1043,41 @@ type Stats struct {
 	DegradedLines uint64 `json:"degraded_lines"`
 }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's counters. The federation and durability
+// counters stay zero (and omitted) on a server that does not use them.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	workers := s.cfg.Workers
-	if workers < 0 {
-		workers = 0 // coordinator without local execution
-	}
-	st := Stats{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Draining:       s.draining,
-		Ready:          s.ready && !s.draining,
-		Workers:        workers,
-		BusyWorkers:    s.busy,
-		QueueDepth:     s.queue.Len(),
-		QueueCapacity:  s.cfg.QueueCapacity,
-		JobsSubmitted:  s.submitted,
-		JobsRejected:   s.rejected,
-		JobsDeduped:    s.deduped,
-		JobStates:      map[string]int{},
-		CacheEntries:   s.cache.Len(),
-		CacheCapacity:  s.cfg.CacheEntries,
-		CacheHits:      s.cache.hits,
-		CacheMisses:    s.cache.misses,
-		RunsCompleted:  s.runsCompleted,
-		RunsFailed:     s.runsFailed,
-		RunsCanceled:   s.runsCanceled,
-		SimCyclesTotal: s.simCycles,
-		FaultDrops:     s.faultDrops,
-		FaultDups:      s.faultDups,
-		FaultDelays:    s.faultDelays,
-		FaultStalls:    s.faultStalls,
-		SnoopTimeouts:  s.snoopTimeouts,
-		DegradedLines:  s.degradedLines,
-
-		JobsExpired:     s.jobsExpired,
-		JobsShed:        s.jobsShed,
-		JobsRateLimited: s.rateLimited,
-		Brownouts:       s.brownouts,
-		BrownoutActive:  s.brownout,
-		Goroutines:      runtime.NumGoroutine(),
-	}
+	st := s.stats
+	st.UptimeSeconds = time.Since(s.start).Seconds()
+	st.Draining = s.draining
+	st.Ready = s.ready && !s.draining
+	st.Workers = max(s.cfg.Workers, 0) // a coordinator may have no local pool
+	st.BusyWorkers = s.busy
+	st.QueueDepth = s.queue.Len()
+	st.QueueCapacity = s.cfg.QueueCapacity
+	st.Goroutines = runtime.NumGoroutine()
 	if oldest := s.queue.OldestEnqueue(); !oldest.IsZero() {
 		st.QueueOldestAgeSeconds = time.Since(oldest).Seconds()
 	}
-	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
-		st.CacheHitRate = float64(st.CacheHits) / float64(lookups)
-	}
+	st.JobStates = map[string]int{}
 	for _, j := range s.jobs {
 		st.JobStates[j.statusLocked().State]++
 	}
+	st.CacheEntries = s.cache.Len()
+	st.CacheCapacity = s.cfg.CacheEntries
+	st.CacheHits, st.CacheMisses = s.cache.hits, s.cache.misses
+	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
+		st.CacheHitRate = float64(st.CacheHits) / float64(lookups)
+	}
 	if s.cfg.federated() {
-		st.Failovers = s.failovers
 		for _, b := range s.backends {
 			st.Backends = append(st.Backends, b.statsLocked())
 		}
-		st.Hedges = s.hedges
-		st.HedgeWins = s.hedgeWins
-		st.HedgeMismatches = s.hedgeMismatches
 	}
 	if s.wal != nil {
 		st.WALRecords = s.wal.Appended()
-		st.WALReplayed = s.walReplayed
-		st.WALRequeued = s.walRequeued
 	}
-	st.WALErrors = s.walErrors
 	if s.cache.disk != nil {
 		st.DiskCacheEntries = s.cache.disk.Len()
 		st.DiskCacheHits = s.cache.disk.hits

@@ -147,6 +147,48 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// TestEvictionDoesNotCopyJobOrder: once finishedJobRetention jobs are
+// retained, every admission evicts the oldest finished job. The eviction
+// must shift the job order in place, so a cache-hit Submit at the bound
+// allocates about what it does below it, not a copy of the whole order.
+func TestEvictionDoesNotCopyJobOrder(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	defer s.Close()
+	spec := smallSpec(80)
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, st.ID, StateDone)
+
+	const n = 500
+	submit := func() {
+		t.Helper()
+		if st, err := s.Submit(spec); err != nil || !st.Cached {
+			t.Fatalf("Submit = %+v, %v; want a cache hit", st, err)
+		}
+	}
+	bytesPerSubmit := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			submit()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	below := bytesPerSubmit() // jobs 2 to 501: nothing to evict
+	for retained := 1 + n; retained < finishedJobRetention; retained++ {
+		submit()
+	}
+	at := bytesPerSubmit() // every Submit evicts one job
+	t.Logf("cache-hit Submit: %d B below the retention bound, %d B at it", below, at)
+	if at > below+4<<10 {
+		t.Errorf("cache-hit Submit allocates %d B at the retention bound, %d B below it: eviction copies the job order",
+			at, below)
+	}
+}
+
 // TestInFlightDedup: identical submissions that arrive while the first is
 // still pending share one execution (singleflight), and both observe the
 // same result.

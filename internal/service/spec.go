@@ -40,9 +40,8 @@ type JobSpec struct {
 	Algorithm string `json:"algorithm"`
 	Workload  string `json:"workload"`
 	// Priority orders the queue: higher runs sooner (default 0). Jobs of
-	// equal priority run in submission order. Under brownout (see
-	// Config.BrownoutSojourn) negative-priority jobs are treated as
-	// optional and shed first.
+	// equal priority run in submission order. Queue aging (see
+	// Config.SojournTarget) sheds the lowest priority first.
 	Priority int `json:"priority,omitempty"`
 
 	// DeadlineMS is the end-to-end deadline in milliseconds from

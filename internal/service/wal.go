@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,18 +25,36 @@ import (
 // have.
 
 // walAppendLocked appends one record, or does nothing without a WAL.
-// An error wraps ErrDurability: the transition it records was NOT made
-// durable and must not be acknowledged.
+// A failed append is counted and logged here. Its error wraps
+// ErrDurability: the transition it records was NOT made durable and must
+// not be acknowledged.
 func (s *Server) walAppendLocked(rec journal.Record) error {
 	if s.wal == nil {
 		return nil
 	}
 	if err := s.wal.Append(rec); err != nil {
-		s.walErrors++
-		s.logf("wal: append %s: %v", rec.Kind, err)
+		s.stats.WALErrors++
+		s.logf("wal: append %s (%s): %v", rec.Kind, shortFP(rec.Fingerprint), err)
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return nil
+}
+
+// cancelRecord is the journal record of one job's cancellation.
+func cancelRecord(j *job) journal.Record {
+	return journal.Record{Kind: journal.KindCancelled, JobID: j.id, Seq: j.seq, Fingerprint: j.fp}
+}
+
+// journalCancelsLocked journals a cancellation for each job of ex that
+// was not already cancelled on its own, when drain or overload ends the
+// execution for them. The transition is decided already, so a failed
+// append is only counted and logged.
+func (s *Server) journalCancelsLocked(ex *execution) {
+	for _, j := range ex.jobs {
+		if !j.canceled {
+			_ = s.walAppendLocked(cancelRecord(j))
+		}
+	}
 }
 
 // walSubmitLocked journals the admission of the job newJobLocked is
@@ -68,7 +85,8 @@ type replayJob struct {
 
 // replayLocked rebuilds the server's job table and queue from the
 // journal records Open returned. It must run with s.mu held, before the
-// dispatcher starts.
+// dispatcher starts. Record kinds it does not read are skipped, such as
+// the "started" record older builds appended on every dispatch.
 //
 // Replay is idempotent by job ID: a crash inside Compact's rename
 // window can leave the old segments beside the compacted one, so the
@@ -102,8 +120,6 @@ func (s *Server) replayLocked(records []journal.Record) error {
 					specByFP[rec.Fingerprint] = rec.Spec
 				}
 			}
-		case journal.KindStarted:
-			// Informational only: started-but-not-done is requeued anyway.
 		case journal.KindDone:
 			if _, ok := doneByFP[rec.Fingerprint]; !ok {
 				doneByFP[rec.Fingerprint] = rec.Error
@@ -118,20 +134,20 @@ func (s *Server) replayLocked(records []journal.Record) error {
 	// Restore each job in admission order. Incomplete jobs sharing a
 	// fingerprint re-collapse onto one execution, exactly as their
 	// original submissions were deduped.
-	requeued := make(map[string]*execution)
 	for _, rj := range jobs {
 		j := &job{id: rj.id, seq: rj.seq, fp: rj.fp}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		s.walReplayed++
+		s.stats.WALReplayed++
+		msg, done := doneByFP[rj.fp]
 		switch {
 		case rj.cancelled:
 			j.canceled = true
-		case hasDone(doneByFP, rj.fp) && doneByFP[rj.fp] != "":
+		case done && msg != "":
 			// A journaled deterministic failure: re-running would only
 			// reproduce it, so restore the terminal state directly.
-			j.exec = terminalFailedExec(rj.fp, rj.seq, doneByFP[rj.fp])
-		case hasDone(doneByFP, rj.fp):
+			j.err = errors.New(msg)
+		case done:
 			if res, ok := s.cache.Get(rj.fp); ok {
 				j.cached = true
 				j.result = res
@@ -142,9 +158,9 @@ func (s *Server) replayLocked(records []journal.Record) error {
 			// exactly equivalent — fall through to requeue.
 			fallthrough
 		default:
-			ex, err := s.requeueReplayedLocked(requeued, rj, specByFP[rj.fp])
+			ex, err := s.requeueReplayedLocked(rj, specByFP[rj.fp])
 			if err != nil {
-				j.exec = terminalFailedExec(rj.fp, rj.seq, err.Error())
+				j.err = err
 				continue
 			}
 			j.exec = ex
@@ -156,10 +172,10 @@ func (s *Server) replayLocked(records []journal.Record) error {
 	if s.seq < uint64(len(jobs)) {
 		s.seq = uint64(len(jobs))
 	}
-	s.walRequeued = uint64(len(requeued))
-	if s.walReplayed > 0 {
+	s.stats.WALRequeued = uint64(len(s.execs))
+	if s.stats.WALReplayed > 0 {
 		s.logf("wal: replayed %d jobs (%d executions requeued, %d torn records dropped)",
-			s.walReplayed, len(requeued), s.wal.Dropped())
+			s.stats.WALReplayed, s.stats.WALRequeued, s.wal.Dropped())
 	}
 
 	// Trim finished jobs beyond retention (newJobLocked was bypassed), so
@@ -171,45 +187,33 @@ func (s *Server) replayLocked(records []journal.Record) error {
 	// journal growth and removes the compaction-window duplicates.
 	var live []journal.Record
 	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		rj := byID[j.id]
-		sub := journal.Record{
+		j := s.jobs[id]
+		live = append(live, journal.Record{
 			Kind: journal.KindSubmitted, JobID: j.id, Seq: j.seq,
-			Fingerprint: j.fp, Priority: rj.priority, Spec: specByFP[j.fp],
-		}
-		live = append(live, sub)
+			Fingerprint: j.fp, Priority: byID[j.id].priority, Spec: specByFP[j.fp],
+		})
 		switch {
 		case j.canceled:
-			live = append(live, journal.Record{
-				Kind: journal.KindCancelled, JobID: j.id, Seq: j.seq, Fingerprint: j.fp,
-			})
+			live = append(live, cancelRecord(j))
 		case j.cached:
+			live = append(live, journal.Record{Kind: journal.KindDone, Seq: j.seq, Fingerprint: j.fp})
+		case j.err != nil:
 			live = append(live, journal.Record{
-				Kind: journal.KindDone, Seq: j.seq, Fingerprint: j.fp,
-			})
-		case j.exec != nil && j.exec.state == StateFailed:
-			live = append(live, journal.Record{
-				Kind: journal.KindDone, Seq: j.seq, Fingerprint: j.fp, Error: j.exec.err.Error(),
+				Kind: journal.KindDone, Seq: j.seq, Fingerprint: j.fp, Error: j.err.Error(),
 			})
 		}
 	}
 	return s.wal.Compact(live)
 }
 
-func hasDone(doneByFP map[string]string, fp string) bool {
-	_, ok := doneByFP[fp]
-	return ok
-}
-
-// requeueReplayedLocked finds or creates the execution for an
-// incomplete replayed job and (on creation) requeues it with its
-// original priority and sequence — Requeue bypasses the capacity bound,
-// because these jobs were already admitted once.
-func (s *Server) requeueReplayedLocked(requeued map[string]*execution, rj *replayJob, raw json.RawMessage) (*execution, error) {
-	if ex, ok := requeued[rj.fp]; ok {
+// requeueReplayedLocked returns the execution an incomplete replayed job
+// joins: the one already requeued for its fingerprint, or a new one built
+// from the journaled spec with the job's original priority and sequence.
+// The original admission time did not survive the crash, so the deadline
+// window restarts at replay: generous to the job, and strictly better
+// than resurrecting it pre-expired.
+func (s *Server) requeueReplayedLocked(rj *replayJob, raw json.RawMessage) (*execution, error) {
+	if ex, ok := s.execs[rj.fp]; ok {
 		return ex, nil
 	}
 	if len(raw) == 0 {
@@ -223,53 +227,13 @@ func (s *Server) requeueReplayedLocked(requeued map[string]*execution, rj *repla
 	if err != nil {
 		return nil, fmt.Errorf("service: recovered spec invalid: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ex := &execution{
-		fp:       rj.fp,
-		job:      fj,
-		spec:     spec,
-		label:    fj.Algorithm.String() + "/" + fj.Workload,
-		interval: spec.Options.IntervalCycles,
-		priority: rj.priority,
-		seq:      rj.seq,
-		state:    StateQueued,
-		ctx:      ctx,
-		cancel:   cancel,
-		hub:      newMetricsHub(),
-		done:     make(chan struct{}),
-	}
-	if spec.DeadlineMS > 0 {
-		// The original admission time did not survive the crash, so the
-		// deadline window restarts at replay: generous to the job, and
-		// strictly better than resurrecting it pre-expired.
-		ex.deadline = time.Now().Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-		s.ensureMaintLocked()
-	}
-	s.queue.Requeue(ex)
-	s.execs[rj.fp] = ex
-	requeued[rj.fp] = ex
-	return ex, nil
+	return s.enqueueLocked(spec, fj, rj.fp, rj.priority, rj.seq, spec.deadlineFrom(time.Now())), nil
 }
 
-// terminalFailedExec builds an already-settled failed execution, so a
-// job recovered in a failed state answers Status/Stream like any other.
-func terminalFailedExec(fp string, seq uint64, msg string) *execution {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	hub := newMetricsHub()
-	hub.close()
-	ex := &execution{
-		fp: fp, seq: seq, state: StateFailed, err: errors.New(msg),
-		ctx: ctx, cancel: cancel, hub: hub, done: make(chan struct{}),
-	}
-	close(ex.done)
-	return ex
-}
-
-// evictFinishedLocked applies FinishedJobRetention, oldest-first — the
+// evictFinishedLocked applies finishedJobRetention, oldest-first — the
 // same policy newJobLocked applies on admission.
 func (s *Server) evictFinishedLocked() {
-	for len(s.jobs) > s.cfg.FinishedJobRetention {
+	for len(s.jobs) > finishedJobRetention {
 		evicted := false
 		for i, id := range s.order {
 			old, ok := s.jobs[id]
@@ -278,7 +242,7 @@ func (s *Server) evictFinishedLocked() {
 			}
 			if st := old.statusLocked().State; st == StateDone || st == StateFailed || st == StateCanceled {
 				delete(s.jobs, id)
-				s.order = append(s.order[:i:i], s.order[i+1:]...)
+				s.order = append(s.order[:i], s.order[i+1:]...) // shifts in place, allocating nothing
 				evicted = true
 				break
 			}
