@@ -385,6 +385,9 @@ func buildExperiment(alg Algorithm, prof Profile, opts Options) (machine.Experim
 	if err := exp.Machine.Validate(); err != nil {
 		return machine.Experiment{}, err
 	}
+	if err := exp.Predictor.Validate(); err != nil {
+		return machine.Experiment{}, err
+	}
 	return exp, nil
 }
 

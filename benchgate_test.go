@@ -83,4 +83,21 @@ func BenchmarkGate(b *testing.B) {
 			simulate(b, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts)
 		}
 	})
+
+	// The fixed cost of a small service job: one reference per core in
+	// the shape of perfbench's svc-miss jobs, so nearly all the time is
+	// building, checking and draining the machine.
+	b.Run("small-job", func(b *testing.B) {
+		b.ReportAllocs()
+		plan, err := flexsnoop.ParseFaultPlan("kind=drop,rate=0.02,seed=7;kind=delay,rate=0.05,delay=80,seed=11")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			for seed := int64(1); seed <= 200; seed++ {
+				opts := flexsnoop.Options{OpsPerCore: 1, Seed: seed, Faults: plan, CheckEvery: 5000}
+				simulate(b, flexsnoop.SupersetAgg, flexsnoop.FromWorkload("barnes"), opts)
+			}
+		}
+	})
 }

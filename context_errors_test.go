@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flexsnoop"
+	"flexsnoop/internal/config"
 	"flexsnoop/internal/trace"
 	"flexsnoop/internal/workload"
 )
@@ -62,6 +63,67 @@ func TestErrBadConfigIs(t *testing.T) {
 	}
 	if err := (flexsnoop.Options{GovernorBudgetNJPerKCycle: -2}).Validate(); !errors.Is(err, flexsnoop.ErrBadConfig) {
 		t.Errorf("Validate(negative budget) = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestBadGeometryIsBadConfig: every predictor or cache geometry the
+// simulator cannot build is rejected with ErrBadConfig before the machine
+// is built, never by a panic inside it.
+func TestBadGeometryIsBadConfig(t *testing.T) {
+	sub := func(entries, assoc int) *flexsnoop.PredictorConfig {
+		return &flexsnoop.PredictorConfig{Kind: config.PredictorSubset, Name: "sub", Entries: entries, Assoc: assoc}
+	}
+	exa := func(entries, assoc int) *flexsnoop.PredictorConfig {
+		return &flexsnoop.PredictorConfig{Kind: config.PredictorExact, Name: "exa", Entries: entries, Assoc: assoc}
+	}
+	sup := func(bits []uint, entries, assoc int) *flexsnoop.PredictorConfig {
+		return &flexsnoop.PredictorConfig{Kind: config.PredictorSuperset, Name: "sup", Entries: entries, Assoc: assoc,
+			BloomFieldBits: bits, ExcludeCache: true}
+	}
+	cases := []struct {
+		name  string
+		alg   flexsnoop.Algorithm
+		pred  *flexsnoop.PredictorConfig
+		tweak func(*flexsnoop.MachineConfig)
+	}{
+		{name: "subset 1000x8 (125 sets)", alg: flexsnoop.Subset, pred: sub(1000, 8)},
+		{name: "subset zero entries", alg: flexsnoop.Subset, pred: sub(0, 8)},
+		{name: "subset zero ways", alg: flexsnoop.Subset, pred: sub(512, 0)},
+		{name: "subset 300 ways", alg: flexsnoop.Subset, pred: sub(600, 300)},
+		{name: "subset 2^24 entries", alg: flexsnoop.Subset, pred: sub(1<<24, 8)},
+		{name: "exact 24x8 (3 sets)", alg: flexsnoop.Exact, pred: exa(24, 8)},
+		{name: "exact negative entries", alg: flexsnoop.Exact, pred: exa(-8, 8)},
+		{name: "superset no fields", alg: flexsnoop.SupersetAgg, pred: sup(nil, 512, 8)},
+		{name: "superset zero-width field", alg: flexsnoop.SupersetAgg, pred: sup([]uint{10, 0}, 512, 8)},
+		{name: "superset 21-bit field", alg: flexsnoop.SupersetAgg, pred: sup([]uint{21}, 512, 8)},
+		{name: "exclude cache 7x2", alg: flexsnoop.SupersetCon, pred: sup([]uint{10, 4, 7}, 7, 2)},
+		{name: "exclude cache 3 sets", alg: flexsnoop.SupersetCon, pred: sup([]uint{10, 4, 7}, 24, 8)},
+		{name: "exclude cache 256 ways", alg: flexsnoop.SupersetCon, pred: sup([]uint{10, 4, 7}, 512, 256)},
+		{name: "unknown predictor kind", alg: flexsnoop.Subset, pred: &flexsnoop.PredictorConfig{Kind: 99, Entries: 512, Assoc: 8}},
+		{name: "L1 256 ways", alg: flexsnoop.Lazy, tweak: func(m *flexsnoop.MachineConfig) {
+			m.L1 = config.CacheConfig{SizeBytes: 256 * 64, Assoc: 256, LineBytes: 64}
+		}},
+		{name: "L2 512 ways", alg: flexsnoop.Lazy, tweak: func(m *flexsnoop.MachineConfig) {
+			m.L2 = config.CacheConfig{SizeBytes: 1024 * 64, Assoc: 512, LineBytes: 64}
+		}},
+		{name: "L2 of 2^24 lines", alg: flexsnoop.Lazy, tweak: func(m *flexsnoop.MachineConfig) {
+			m.L2 = config.CacheConfig{SizeBytes: 1 << 30, Assoc: 8, LineBytes: 64}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Simulate panicked: %v", r)
+				}
+			}()
+			_, err := flexsnoop.Simulate(context.Background(), tc.alg, flexsnoop.FromWorkload("fft"), flexsnoop.Options{
+				OpsPerCore: 10, Predictor: tc.pred, Tweak: tc.tweak,
+			})
+			if !errors.Is(err, flexsnoop.ErrBadConfig) {
+				t.Errorf("Simulate = %v, want ErrBadConfig", err)
+			}
+		})
 	}
 }
 

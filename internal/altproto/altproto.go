@@ -14,6 +14,7 @@ package altproto
 
 import (
 	"fmt"
+	"math"
 
 	"flexsnoop/internal/cache"
 	"flexsnoop/internal/config"
@@ -94,13 +95,15 @@ func newBase(kern *sim.Kernel, cfg config.MachineConfig) (*base, error) {
 			cfg.TorusHopCycles, cfg.DataSerializationCycles, cfg.NumCMPs),
 		versions: make(map[cache.LineAddr]uint64),
 	}
+	// The engines are built before their workload is known, so no line
+	// bound caps the caches' or controllers' initial sizes.
 	for n := 0; n < cfg.NumCMPs; n++ {
-		b.mems = append(b.mems, memory.NewController(n, cfg))
+		b.mems = append(b.mems, memory.NewController(n, cfg, math.MaxInt32))
 	}
 	for i := 0; i < cfg.TotalCores(); i++ {
 		b.clients = append(b.clients, client{
-			l1: cache.NewArray(cfg.L1),
-			l2: cache.NewArray(cfg.L2),
+			l1: cache.NewArray(cfg.L1, math.MaxInt32),
+			l2: cache.NewArray(cfg.L2, math.MaxInt32),
 		})
 	}
 	return b, nil

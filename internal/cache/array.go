@@ -1,21 +1,17 @@
 package cache
 
-import (
-	"fmt"
-
-	"flexsnoop/internal/config"
-)
+import "flexsnoop/internal/config"
 
 // Array is a set-associative cache tag array with true-LRU replacement.
 // It tracks coherence state per line; data values are abstracted into the
 // per-line Version counter.
+//
+// A *Line from Lookup or Access points into the array's storage, which
+// moves when an insert grows it: the pointer is valid only until the
+// next Insert into the same array or the next change to the line's set,
+// whichever comes first.
 type Array struct {
-	sets     [][]Line // each set ordered MRU-first; nil until first insert
-	arena    []Line   // chunked backing store for touched sets
-	assoc    int
-	setMask  LineAddr
-	setShift uint
-	count    int
+	s setStore[Line]
 
 	// Stats
 	Hits      uint64
@@ -25,71 +21,21 @@ type Array struct {
 
 // NewArray builds an array from a cache geometry. The set index is taken
 // from the low bits of the line address (the line offset is already
-// stripped from LineAddr).
-func NewArray(cfg config.CacheConfig) *Array {
-	sets := cfg.Sets()
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", sets))
-	}
-	return newArray(sets, cfg.Assoc)
+// stripped from LineAddr). lines bounds the distinct lines the array
+// will be asked to hold over its life; it sizes only the first
+// allocation of the array's storage, which grows on demand.
+func NewArray(cfg config.CacheConfig, lines int) *Array {
+	return &Array{s: newSetStore[Line](cfg.Sets(), cfg.Assoc, lines)}
 }
-
-// NewArrayGeometry builds an array directly from (sets, assoc); used by
-// predictors whose geometry is given in entries rather than bytes.
-func NewArrayGeometry(sets, assoc int) *Array {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", sets))
-	}
-	return newArray(sets, assoc)
-}
-
-// newArray allocates only the set-header table up front. Set backing is
-// carved lazily out of a chunked arena on first insert (setStorage): a
-// machine builds thousands of arrays, and in a typical run most sets of
-// the large L2 arrays are never touched, so eager sets*assoc slabs
-// dominated the whole simulation's allocated bytes.
-func newArray(sets, assoc int) *Array {
-	return &Array{
-		sets:    make([][]Line, sets),
-		assoc:   assoc,
-		setMask: LineAddr(sets - 1),
-	}
-}
-
-// setArenaChunk is the number of sets worth of lines allocated per arena
-// refill — big enough to amortise allocation, small enough that a
-// sparsely-touched array stays cheap.
-const setArenaChunk = 64
-
-// setStorage returns the set's backing slice, allocating fixed-capacity
-// storage (cap == assoc, so in-place appends never reallocate and line
-// pointers stay stable per set) from the arena on first touch.
-func (a *Array) setStorage(si int) []Line {
-	if set := a.sets[si]; set != nil {
-		return set
-	}
-	if len(a.arena) < a.assoc {
-		a.arena = make([]Line, setArenaChunk*a.assoc)
-	}
-	set := a.arena[:0:a.assoc]
-	a.arena = a.arena[a.assoc:]
-	a.sets[si] = set
-	return set
-}
-
-func (a *Array) setFor(addr LineAddr) int { return int(addr & a.setMask) }
 
 // Len returns the number of valid lines currently held.
-func (a *Array) Len() int { return a.count }
+func (a *Array) Len() int { return a.s.count }
 
-// Capacity returns sets*assoc.
-func (a *Array) Capacity() int { return len(a.sets) * a.assoc }
-
-// Lookup returns a pointer to the line's entry, or nil on a miss. The
-// returned pointer stays valid until the next mutation of the same set.
-// Lookup does not update LRU order; pair it with Touch for an access.
+// Lookup returns a pointer to the line's entry, or nil on a miss (see
+// Array for how long the pointer stays valid). Lookup does not update LRU
+// order; pair it with Touch for an access.
 func (a *Array) Lookup(addr LineAddr) *Line {
-	set := a.sets[a.setFor(addr)]
+	_, set := a.s.set(addr)
 	for i := range set {
 		if set[i].Addr == addr {
 			return &set[i]
@@ -103,15 +49,10 @@ func (a *Array) Contains(addr LineAddr) bool { return a.Lookup(addr) != nil }
 
 // Touch moves the line to MRU position. No-op if absent.
 func (a *Array) Touch(addr LineAddr) {
-	si := a.setFor(addr)
-	set := a.sets[si]
+	_, set := a.s.set(addr)
 	for i := range set {
 		if set[i].Addr == addr {
-			if i > 0 {
-				l := set[i]
-				copy(set[1:i+1], set[0:i])
-				set[0] = l
-			}
+			toFront(set, i)
 			return
 		}
 	}
@@ -121,15 +62,11 @@ func (a *Array) Touch(addr LineAddr) {
 // path is a single scan of the set: find, rotate to MRU, return the
 // front entry.
 func (a *Array) Access(addr LineAddr) *Line {
-	set := a.sets[a.setFor(addr)]
+	_, set := a.s.set(addr)
 	for i := range set {
 		if set[i].Addr == addr {
 			a.Hits++
-			if i > 0 {
-				l := set[i]
-				copy(set[1:i+1], set[0:i])
-				set[0] = l
-			}
+			toFront(set, i)
 			return &set[0]
 		}
 	}
@@ -144,32 +81,22 @@ func (a *Array) Insert(addr LineAddr, st State, version uint64) (victim Line, ev
 	if !st.Valid() {
 		panic("cache: inserting an invalid line")
 	}
-	si := a.setFor(addr)
-	set := a.sets[si]
+	si, set := a.s.set(addr)
 	for i := range set {
 		if set[i].Addr == addr {
-			l := set[i]
-			l.State = st
-			l.Version = version
-			if i > 0 {
-				copy(set[1:i+1], set[0:i])
-			}
-			set[0] = l
+			set[i].State = st
+			set[i].Version = version
+			toFront(set, i)
 			return Line{}, false
 		}
 	}
 	l := Line{Addr: addr, State: st, Version: version}
-	if len(set) < a.assoc {
-		set = a.setStorage(si)
-		set = set[:len(set)+1]
-		copy(set[1:], set[0:len(set)-1])
-		set[0] = l
-		a.sets[si] = set
-		a.count++
+	if len(set) < a.s.assoc {
+		a.s.push(si, l)
 		return Line{}, false
 	}
 	victim = set[len(set)-1]
-	copy(set[1:], set[0:len(set)-1])
+	copy(set[1:], set)
 	set[0] = l
 	a.Evictions++
 	return victim, true
@@ -177,13 +104,11 @@ func (a *Array) Insert(addr LineAddr, st State, version uint64) (victim Line, ev
 
 // Invalidate removes the line, returning its final contents.
 func (a *Array) Invalidate(addr LineAddr) (Line, bool) {
-	si := a.setFor(addr)
-	set := a.sets[si]
+	si, set := a.s.set(addr)
 	for i := range set {
 		if set[i].Addr == addr {
 			l := set[i]
-			a.sets[si] = append(set[:i], set[i+1:]...)
-			a.count--
+			a.s.remove(si, i)
 			return l, true
 		}
 	}
@@ -203,28 +128,6 @@ func (a *Array) SetState(addr LineAddr, st State) bool {
 	return false
 }
 
-// ForEach visits every valid line. The visited Line is a copy; mutate via
-// the other methods.
-func (a *Array) ForEach(visit func(Line)) {
-	for _, set := range a.sets {
-		for _, l := range set {
-			visit(l)
-		}
-	}
-}
-
-// LRUVictim returns the line that Insert would evict for this address, if
-// the set is full. Used by the Exact predictor to downgrade ahead of a
-// conflict.
-func (a *Array) LRUVictim(addr LineAddr) (Line, bool) {
-	set := a.sets[a.setFor(addr)]
-	if len(set) < a.assoc {
-		return Line{}, false
-	}
-	for i := range set {
-		if set[i].Addr == addr {
-			return Line{}, false // hit: no eviction would occur
-		}
-	}
-	return set[len(set)-1], true
-}
+// ForEach visits every valid line in set-index order, each set MRU
+// first. The visited Line is a copy; mutate via the other methods.
+func (a *Array) ForEach(visit func(Line)) { a.s.forEach(visit) }

@@ -8,9 +8,14 @@ import (
 	"flexsnoop/internal/config"
 )
 
+// newArray builds an array of sets x assoc 64-byte lines.
+func newArray(sets, assoc int) *Array {
+	return NewArray(config.CacheConfig{SizeBytes: sets * assoc * 64, Assoc: assoc, LineBytes: 64}, sets*assoc)
+}
+
 func smallArray() *Array {
 	// 4 sets x 2 ways = 8 lines of 64B.
-	return NewArray(config.CacheConfig{SizeBytes: 8 * 64, Assoc: 2, LineBytes: 64})
+	return newArray(4, 2)
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -127,22 +132,6 @@ func TestAccessStats(t *testing.T) {
 	}
 }
 
-func TestLRUVictim(t *testing.T) {
-	a := smallArray()
-	if _, full := a.LRUVictim(0); full {
-		t.Error("empty set reported a victim")
-	}
-	a.Insert(0, Shared, 0)
-	a.Insert(4, Shared, 0)
-	v, full := a.LRUVictim(8)
-	if !full || v.Addr != 0 {
-		t.Errorf("LRUVictim = %+v,%v, want addr 0", v, full)
-	}
-	if _, full := a.LRUVictim(0); full {
-		t.Error("hit reported a victim")
-	}
-}
-
 func TestForEach(t *testing.T) {
 	a := smallArray()
 	want := map[LineAddr]bool{1: true, 2: true, 3: true}
@@ -162,19 +151,23 @@ func TestForEach(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two sets did not panic")
-		}
-	}()
-	NewArrayGeometry(3, 2)
+	for _, g := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}, {4, 256}, {1 << 22, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets x %d ways did not panic", g.sets, g.assoc)
+				}
+			}()
+			NewTagArray(g.sets, g.assoc)
+		}()
+	}
 }
 
 // TestPropertyNeverExceedsCapacity: arbitrary insert/invalidate sequences
 // never exceed set capacity, and Len always equals the visited line count.
 func TestPropertyNeverExceedsCapacity(t *testing.T) {
 	f := func(ops []uint16) bool {
-		a := NewArrayGeometry(8, 2)
+		a := newArray(8, 2)
 		for _, op := range ops {
 			addr := LineAddr(op % 64)
 			if op&0x8000 != 0 {
@@ -185,7 +178,7 @@ func TestPropertyNeverExceedsCapacity(t *testing.T) {
 		}
 		n := 0
 		a.ForEach(func(Line) { n++ })
-		return n == a.Len() && a.Len() <= a.Capacity()
+		return n == a.Len() && a.Len() <= 8*2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -196,7 +189,7 @@ func TestPropertyNeverExceedsCapacity(t *testing.T) {
 // per-set reference model under a random workload.
 func TestLRUMatchesReference(t *testing.T) {
 	const sets, assoc = 4, 4
-	a := NewArrayGeometry(sets, assoc)
+	a := newArray(sets, assoc)
 	ref := make([][]LineAddr, sets) // MRU-first
 	rng := rand.New(rand.NewSource(1))
 

@@ -1,7 +1,5 @@
 package cache
 
-import "fmt"
-
 // TagArray is a set-associative, true-LRU array of bare line addresses —
 // the tag-only counterpart of Array for structures that track presence
 // without per-line coherence state (the supplier predictors' address
@@ -10,60 +8,30 @@ import "fmt"
 // would, and the MRU rotation moves 8-byte words instead of 24-byte
 // structs.
 type TagArray struct {
-	sets    [][]LineAddr // each set ordered MRU-first; nil until first insert
-	arena   []LineAddr   // chunked backing store for touched sets
-	assoc   int
-	setMask LineAddr
-	count   int
+	s setStore[LineAddr]
 }
 
 // NewTagArray builds a tag array from (sets, assoc). The set index is the
 // low bits of the line address, matching Array.
-func NewTagArray(sets, assoc int) *TagArray {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", sets))
-	}
-	return &TagArray{
-		sets:    make([][]LineAddr, sets),
-		assoc:   assoc,
-		setMask: LineAddr(sets - 1),
-	}
-}
+func NewTagArray(sets, assoc int) *TagArray { return NewTagArrayFor(sets, assoc, sets*assoc) }
 
-// setStorage carves fixed-capacity (cap == assoc) set backing out of a
-// chunked arena on first insert, like Array.setStorage: predictor tables
-// are built per node in every machine, and most sets stay untouched.
-func (a *TagArray) setStorage(si int) []LineAddr {
-	if set := a.sets[si]; set != nil {
-		return set
-	}
-	if len(a.arena) < a.assoc {
-		a.arena = make([]LineAddr, setArenaChunk*a.assoc)
-	}
-	set := a.arena[:0:a.assoc]
-	a.arena = a.arena[a.assoc:]
-	a.sets[si] = set
-	return set
+// NewTagArrayFor builds a tag array that will be asked to hold at most
+// lines distinct addresses over its life; like NewArray's bound, it
+// sizes only the first allocation of the array's storage.
+func NewTagArrayFor(sets, assoc, lines int) *TagArray {
+	return &TagArray{s: newSetStore[LineAddr](sets, assoc, lines)}
 }
-
-func (a *TagArray) setFor(addr LineAddr) int { return int(addr & a.setMask) }
 
 // Len returns the number of addresses currently held.
-func (a *TagArray) Len() int { return a.count }
-
-// Capacity returns sets*assoc.
-func (a *TagArray) Capacity() int { return len(a.sets) * a.assoc }
+func (a *TagArray) Len() int { return a.s.count }
 
 // Access reports presence and moves a hit to MRU position — the
 // predict-path operation, one scan for find and rotate together.
 func (a *TagArray) Access(addr LineAddr) bool {
-	set := a.sets[a.setFor(addr)]
+	_, set := a.s.set(addr)
 	for i, t := range set {
 		if t == addr {
-			if i > 0 {
-				copy(set[1:i+1], set[0:i])
-				set[0] = addr
-			}
+			toFront(set, i)
 			return true
 		}
 	}
@@ -74,40 +42,29 @@ func (a *TagArray) Access(addr LineAddr) bool {
 // is just rotated to MRU. If the set is full, the LRU address is evicted
 // and returned with evicted=true.
 func (a *TagArray) Insert(addr LineAddr) (victim LineAddr, evicted bool) {
-	si := a.setFor(addr)
-	set := a.sets[si]
+	si, set := a.s.set(addr)
 	for i, t := range set {
 		if t == addr {
-			if i > 0 {
-				copy(set[1:i+1], set[0:i])
-				set[0] = addr
-			}
+			toFront(set, i)
 			return 0, false
 		}
 	}
-	if len(set) < a.assoc {
-		set = a.setStorage(si)
-		set = set[:len(set)+1]
-		copy(set[1:], set[0:len(set)-1])
-		set[0] = addr
-		a.sets[si] = set
-		a.count++
+	if len(set) < a.s.assoc {
+		a.s.push(si, addr)
 		return 0, false
 	}
 	victim = set[len(set)-1]
-	copy(set[1:], set[0:len(set)-1])
+	copy(set[1:], set)
 	set[0] = addr
 	return victim, true
 }
 
 // Invalidate removes the address, reporting whether it was present.
 func (a *TagArray) Invalidate(addr LineAddr) bool {
-	si := a.setFor(addr)
-	set := a.sets[si]
+	si, set := a.s.set(addr)
 	for i, t := range set {
 		if t == addr {
-			a.sets[si] = append(set[:i], set[i+1:]...)
-			a.count--
+			a.s.remove(si, i)
 			return true
 		}
 	}

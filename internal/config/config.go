@@ -180,6 +180,59 @@ type PredictorConfig struct {
 	AccessCycles int
 }
 
+// Geometry limits of every cache and predictor table. The cache arrays
+// (internal/cache) keep one 32-bit word per set: 8 bits count the set's
+// valid lines and 24 bits locate the set's storage.
+const (
+	// MaxAssoc is the largest associativity a table may have.
+	MaxAssoc = 255
+	// MaxTableLines is the most lines (sets × ways) a table may hold.
+	MaxTableLines = 1<<24 - 1
+)
+
+// Validate reports the first error in the predictor's geometry, wrapping
+// ErrBadConfig. It checks only the fields the predictor's kind uses:
+// Entries and Assoc for the subset and exact tables and for an enabled
+// exclude cache, BloomFieldBits for superset predictors.
+func (p PredictorConfig) Validate() error {
+	switch p.Kind {
+	case PredictorNone, PredictorPerfect:
+		return nil
+	case PredictorSubset, PredictorExact:
+		return validateTable("predictor table", p.Entries, p.Assoc)
+	case PredictorSuperset:
+		if len(p.BloomFieldBits) == 0 {
+			return fmt.Errorf("%w: superset predictor needs at least one Bloom field", ErrBadConfig)
+		}
+		for _, bits := range p.BloomFieldBits {
+			if bits == 0 || bits > 20 {
+				return fmt.Errorf("%w: Bloom field width %d is outside 1..20", ErrBadConfig, bits)
+			}
+		}
+		if p.ExcludeCache {
+			return validateTable("exclude cache", p.Entries, p.Assoc)
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: unknown predictor kind %v", ErrBadConfig, p.Kind)
+}
+
+// validateTable checks a predictor table of entries lines in assoc-way
+// sets.
+func validateTable(what string, entries, assoc int) error {
+	switch {
+	case entries <= 0 || assoc <= 0 || entries%assoc != 0:
+		return fmt.Errorf("%w: %s of %d entries cannot be split into %d-way sets", ErrBadConfig, what, entries, assoc)
+	case assoc > MaxAssoc:
+		return fmt.Errorf("%w: %s associativity %d is above %d", ErrBadConfig, what, assoc, MaxAssoc)
+	case entries > MaxTableLines:
+		return fmt.Errorf("%w: %s of %d entries is above %d", ErrBadConfig, what, entries, MaxTableLines)
+	case (entries/assoc)&(entries/assoc-1) != 0:
+		return fmt.Errorf("%w: %s set count %d is not a power of two", ErrBadConfig, what, entries/assoc)
+	}
+	return nil
+}
+
 // Predictor presets from Section 5.2 / Table 4.
 func Sub512() PredictorConfig {
 	return PredictorConfig{Kind: PredictorSubset, Name: "Sub512", Entries: 512, Assoc: 8, AccessCycles: 2}
@@ -399,6 +452,10 @@ func (m MachineConfig) Validate() error {
 		return fmt.Errorf("%w: L2 set count %d is not a power of two", ErrBadConfig, m.L2.Sets())
 	case m.L1.Sets() == 0 || m.L1.Sets()&(m.L1.Sets()-1) != 0:
 		return fmt.Errorf("%w: L1 set count %d is not a power of two", ErrBadConfig, m.L1.Sets())
+	case m.L1.Assoc > MaxAssoc || m.L2.Assoc > MaxAssoc:
+		return fmt.Errorf("%w: cache associativity (L1 %d, L2 %d) is above %d", ErrBadConfig, m.L1.Assoc, m.L2.Assoc, MaxAssoc)
+	case m.L1.Sets()*m.L1.Assoc > MaxTableLines || m.L2.Sets()*m.L2.Assoc > MaxTableLines:
+		return fmt.Errorf("%w: a cache holds more than %d lines", ErrBadConfig, MaxTableLines)
 	case m.TorusWidth*m.TorusHeight < m.NumCMPs:
 		return fmt.Errorf("%w: %dx%d torus cannot place %d CMPs", ErrBadConfig,
 			m.TorusWidth, m.TorusHeight, m.NumCMPs)

@@ -7,6 +7,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"flexsnoop/internal/checker"
 	"flexsnoop/internal/config"
@@ -177,11 +178,12 @@ func Run(exp Experiment) (Result, error) {
 	}
 
 	eng, err := protocol.NewEngine(kern, protocol.Options{
-		Machine:   exp.Machine,
-		Predictor: exp.Predictor,
-		PolicyFor: func(i int) core.Policy { return policies[i] },
-		Energy:    exp.Energy,
-		Faults:    exp.Faults,
+		Machine:      exp.Machine,
+		Predictor:    exp.Predictor,
+		PolicyFor:    func(i int) core.Policy { return policies[i] },
+		Energy:       exp.Energy,
+		Faults:       exp.Faults,
+		LinesPerCore: exp.linesPerCore(),
 	})
 	if err != nil {
 		return Result{}, err
@@ -329,6 +331,20 @@ func Run(exp Experiment) (Result, error) {
 		res.GovernorAggFrac = float64(agg) / float64(agg+con)
 	}
 	return res, nil
+}
+
+// linesPerCore bounds the distinct lines one core can reference: each
+// reference names one line, so a core's stream length is the bound. The
+// engine sizes its tables by it.
+func (exp *Experiment) linesPerCore() int {
+	if exp.Traces == nil {
+		return int(min(exp.OpsPerCore, math.MaxInt32))
+	}
+	longest := 0
+	for _, ops := range exp.Traces {
+		longest = max(longest, len(ops))
+	}
+	return longest
 }
 
 // startGovernor installs the periodic energy-budget mode switcher. The

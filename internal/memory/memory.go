@@ -66,12 +66,15 @@ type Controller struct {
 	PrefetchEvict uint64
 }
 
-// NewController builds the controller for one home node.
-func NewController(node int, cfg config.MachineConfig) *Controller {
+// NewController builds the controller for one home node. lines bounds
+// the distinct lines the whole machine can reference over the run, any
+// of which may be homed here; it caps the line index's presize, and the
+// index grows on demand.
+func NewController(node int, cfg config.MachineConfig, lines int) *Controller {
 	return &Controller{
 		node: node,
 		cfg:  cfg,
-		idx:  *hotmap.New[int32](1024),
+		idx:  *hotmap.New[int32](min(1024, lines)),
 	}
 }
 

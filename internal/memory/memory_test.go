@@ -7,8 +7,12 @@ import (
 	"flexsnoop/internal/config"
 )
 
+// unbounded is a line bound large enough that every table starts at its
+// full default size.
+const unbounded = 1 << 20
+
 func newCtrl(node int) *Controller {
-	return NewController(node, config.DefaultMachine())
+	return NewController(node, config.DefaultMachine(), unbounded)
 }
 
 func TestHomeNodeInterleaving(t *testing.T) {
@@ -64,7 +68,7 @@ func TestPrefetchStillInFlight(t *testing.T) {
 func TestPrefetchDisabled(t *testing.T) {
 	cfg := config.DefaultMachine()
 	cfg.PrefetchOnSnoop = false
-	c := NewController(0, cfg)
+	c := NewController(0, cfg, unbounded)
 	c.NotifySnoop(0, 8)
 	if c.Prefetches != 0 {
 		t.Error("disabled prefetch still buffered")
@@ -77,7 +81,7 @@ func TestPrefetchDisabled(t *testing.T) {
 func TestPrefetchBufferBounded(t *testing.T) {
 	cfg := config.DefaultMachine()
 	cfg.PrefetchBufferEntries = 2
-	c := NewController(0, cfg)
+	c := NewController(0, cfg, unbounded)
 	c.NotifySnoop(0, 8)
 	c.NotifySnoop(0, 16)
 	c.NotifySnoop(0, 24) // evicts 8

@@ -69,16 +69,20 @@ type Stats struct {
 // New builds a predictor from its configuration. PredictorPerfect requires
 // the actual supplier-state oracle; pass it as isSupplier. PredictorNone
 // returns nil: algorithms that never predict hold no predictor.
-func New(cfg config.PredictorConfig, isSupplier func(cache.LineAddr) bool) Predictor {
+//
+// nodeLines bounds the distinct lines the node's caches can hold over the
+// run, and machineLines those the whole machine can reference. They size
+// only the predictor's initial tables, which grow on demand.
+func New(cfg config.PredictorConfig, nodeLines, machineLines int, isSupplier func(cache.LineAddr) bool) Predictor {
 	switch cfg.Kind {
 	case config.PredictorNone:
 		return nil
 	case config.PredictorSubset:
-		return NewSubset(cfg.Entries, cfg.Assoc)
+		return NewSubset(cfg.Entries, cfg.Assoc, nodeLines)
 	case config.PredictorSuperset:
-		return NewSuperset(cfg.BloomFieldBits, cfg.Entries, cfg.Assoc, cfg.ExcludeCache)
+		return NewSuperset(cfg.BloomFieldBits, cfg.Entries, cfg.Assoc, cfg.ExcludeCache, nodeLines, machineLines)
 	case config.PredictorExact:
-		return NewExact(cfg.Entries, cfg.Assoc)
+		return NewExact(cfg.Entries, cfg.Assoc, nodeLines)
 	case config.PredictorPerfect:
 		return NewPerfect(isSupplier)
 	default:

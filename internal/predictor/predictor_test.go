@@ -9,6 +9,10 @@ import (
 	"flexsnoop/internal/config"
 )
 
+// unbounded is a line bound large enough that every table starts at its
+// full default size.
+const unbounded = 1 << 20
+
 func TestNewFromConfig(t *testing.T) {
 	oracle := func(cache.LineAddr) bool { return false }
 	cases := []struct {
@@ -21,7 +25,7 @@ func TestNewFromConfig(t *testing.T) {
 		{config.Perfect(), config.PredictorPerfect},
 	}
 	for _, tc := range cases {
-		p := New(tc.cfg, oracle)
+		p := New(tc.cfg, unbounded, unbounded, oracle)
 		if p == nil {
 			t.Fatalf("New(%s) returned nil", tc.cfg.Name)
 		}
@@ -29,13 +33,13 @@ func TestNewFromConfig(t *testing.T) {
 			t.Errorf("New(%s).Kind = %v, want %v", tc.cfg.Name, p.Kind(), tc.kind)
 		}
 	}
-	if New(config.NoPredictor(), oracle) != nil {
+	if New(config.NoPredictor(), unbounded, unbounded, oracle) != nil {
 		t.Error("New(NoPredictor) should return nil")
 	}
 }
 
 func TestSubsetBasic(t *testing.T) {
-	p := NewSubset(16, 4)
+	p := NewSubset(16, 4, unbounded)
 	if p.Predict(1) {
 		t.Error("empty predictor predicted positive")
 	}
@@ -54,7 +58,7 @@ func TestSubsetBasic(t *testing.T) {
 // genuinely in the reference supplier set.
 func TestSubsetNoFalsePositives(t *testing.T) {
 	f := func(ops []uint16) bool {
-		p := NewSubset(8, 2) // tiny: force conflict evictions
+		p := NewSubset(8, 2, unbounded) // tiny: force conflict evictions
 		ref := map[cache.LineAddr]bool{}
 		for _, op := range ops {
 			addr := cache.LineAddr(op % 256)
@@ -85,7 +89,7 @@ func TestSubsetNoFalsePositives(t *testing.T) {
 }
 
 func TestSubsetFalseNegativesUnderPressure(t *testing.T) {
-	p := NewSubset(8, 2)
+	p := NewSubset(8, 2, unbounded)
 	// Insert far more supplier lines than the table holds.
 	for a := cache.LineAddr(0); a < 64; a++ {
 		p.Insert(a)
@@ -109,7 +113,7 @@ func TestSubsetFalseNegativesUnderPressure(t *testing.T) {
 // insert/remove/false-positive-training sequence.
 func TestSupersetNoFalseNegatives(t *testing.T) {
 	f := func(ops []uint16) bool {
-		p := NewSuperset([]uint{4, 3}, 8, 2, true) // tiny: force aliasing
+		p := NewSuperset([]uint{4, 3}, 8, 2, true, unbounded, unbounded) // tiny: force aliasing
 		ref := map[cache.LineAddr]bool{}
 		for _, op := range ops {
 			addr := cache.LineAddr(op % 512)
@@ -144,7 +148,7 @@ func TestSupersetNoFalseNegatives(t *testing.T) {
 }
 
 func TestSupersetFalsePositivesFromAliasing(t *testing.T) {
-	p := NewSuperset([]uint{3, 3}, 8, 2, false)
+	p := NewSuperset([]uint{3, 3}, 8, 2, false, unbounded, unbounded)
 	// 0x41 aliases with {0x01, 0x40}: field0 = addr&7, field1 = (addr>>3)&7.
 	p.Insert(0x01) // fields (1, 0)
 	p.Insert(0x40) // fields (0, 8&7=0) -> (0,0)... choose clean aliases:
@@ -159,7 +163,7 @@ func TestSupersetFalsePositivesFromAliasing(t *testing.T) {
 	// address with both counters set: 0x11 -> fields (1, 2): counter(2)
 	// of field1 is 0, so negative. Construct a true alias: insert (1,1)
 	// and (2,2); then (1,2) and (2,1) are false positives.
-	p2 := NewSuperset([]uint{3, 3}, 8, 2, false)
+	p2 := NewSuperset([]uint{3, 3}, 8, 2, false, unbounded, unbounded)
 	p2.Insert(0x09)        // (1,1)
 	p2.Insert(0x12)        // (2,2)
 	if !p2.Predict(0x0A) { // (2,1): aliased
@@ -171,7 +175,7 @@ func TestSupersetFalsePositivesFromAliasing(t *testing.T) {
 }
 
 func TestExcludeCacheSuppressesFalsePositives(t *testing.T) {
-	p := NewSuperset([]uint{3, 3}, 8, 2, true)
+	p := NewSuperset([]uint{3, 3}, 8, 2, true, unbounded, unbounded)
 	p.Insert(0x09) // (1,1)
 	p.Insert(0x12) // (2,2)
 	if !p.Predict(0x0A) {
@@ -196,7 +200,7 @@ func TestExcludeCacheSuppressesFalsePositives(t *testing.T) {
 }
 
 func TestNoteFalsePositiveOnTrackedAddressIgnored(t *testing.T) {
-	p := NewSuperset([]uint{3, 3}, 8, 2, true)
+	p := NewSuperset([]uint{3, 3}, 8, 2, true, unbounded, unbounded)
 	p.Insert(0x09)
 	p.NoteFalsePositive(0x09) // bogus: it IS tracked
 	if !p.Predict(0x09) {
@@ -210,7 +214,7 @@ func TestSupersetRemoveWithoutInsertPanics(t *testing.T) {
 			t.Error("unmatched Remove did not panic")
 		}
 	}()
-	NewSuperset([]uint{3, 3}, 8, 2, false).Remove(5)
+	NewSuperset([]uint{3, 3}, 8, 2, false, unbounded, unbounded).Remove(5)
 }
 
 func TestBloomCounterUnderflowPanics(t *testing.T) {
@@ -243,7 +247,7 @@ func TestBloomFieldPartitioning(t *testing.T) {
 }
 
 func TestExactForcesDowngrades(t *testing.T) {
-	p := NewExact(8, 2)
+	p := NewExact(8, 2, unbounded)
 	downgraded := map[cache.LineAddr]bool{}
 	inPred := map[cache.LineAddr]bool{}
 	for a := cache.LineAddr(0); a < 32; a++ {
@@ -273,7 +277,7 @@ func TestExactForcesDowngrades(t *testing.T) {
 // positives and no false negatives.
 func TestExactIsExact(t *testing.T) {
 	f := func(ops []uint16) bool {
-		p := NewExact(8, 2)
+		p := NewExact(8, 2, unbounded)
 		ref := map[cache.LineAddr]bool{}
 		for _, op := range ops {
 			addr := cache.LineAddr(op % 128)
@@ -346,7 +350,7 @@ func TestAccuracyClassification(t *testing.T) {
 }
 
 func TestPredictorStatsCount(t *testing.T) {
-	p := NewSubset(16, 4)
+	p := NewSubset(16, 4, unbounded)
 	p.Predict(1)
 	p.Insert(1)
 	p.Predict(1)
@@ -360,7 +364,7 @@ func TestPredictorStatsCount(t *testing.T) {
 func TestSupersetStress(t *testing.T) {
 	// Long random churn with the real Table 4 geometry: no panics, no
 	// false negatives, bounded tracked set.
-	p := NewSuperset([]uint{10, 4, 7}, 2048, 8, true)
+	p := NewSuperset([]uint{10, 4, 7}, 2048, 8, true, unbounded, unbounded)
 	rng := rand.New(rand.NewSource(3))
 	live := map[cache.LineAddr]bool{}
 	var liveList []cache.LineAddr
@@ -398,12 +402,12 @@ func TestSupersetStress(t *testing.T) {
 
 func TestBadGeometriesPanic(t *testing.T) {
 	cases := []func(){
-		func() { NewSubset(0, 4) },
-		func() { NewSubset(10, 4) }, // not divisible
-		func() { NewExact(0, 1) },
-		func() { NewSuperset(nil, 8, 2, false) },
-		func() { NewSuperset([]uint{0}, 8, 2, false) },
-		func() { NewSuperset([]uint{4}, 7, 2, true) },
+		func() { NewSubset(0, 4, unbounded) },
+		func() { NewSubset(10, 4, unbounded) }, // not divisible
+		func() { NewExact(0, 1, unbounded) },
+		func() { NewSuperset(nil, 8, 2, false, unbounded, unbounded) },
+		func() { NewSuperset([]uint{0}, 8, 2, false, unbounded, unbounded) },
+		func() { NewSuperset([]uint{4}, 7, 2, true, unbounded, unbounded) },
 		func() { NewPerfect(nil) },
 	}
 	for i, fn := range cases {

@@ -17,12 +17,14 @@ type SubsetPredictor struct {
 }
 
 // NewSubset builds a subset predictor with the given entry count and
-// associativity (Table 4: 512/2K/8K entries, 8-way).
-func NewSubset(entries, assoc int) *SubsetPredictor {
+// associativity (Table 4: 512/2K/8K entries, 8-way). lines bounds the
+// distinct supplier lines it will be trained with; it sizes only the
+// table's first allocation.
+func NewSubset(entries, assoc, lines int) *SubsetPredictor {
 	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
 		panic(fmt.Sprintf("predictor: bad subset geometry %d entries / %d ways", entries, assoc))
 	}
-	return &SubsetPredictor{table: cache.NewTagArray(entries/assoc, assoc)}
+	return &SubsetPredictor{table: cache.NewTagArrayFor(entries/assoc, assoc, lines)}
 }
 
 // Predict reports presence in the table, touching a hit to MRU.
@@ -68,12 +70,12 @@ type ExactPredictor struct {
 	stats Stats
 }
 
-// NewExact builds an exact predictor.
-func NewExact(entries, assoc int) *ExactPredictor {
+// NewExact builds an exact predictor; lines is as for NewSubset.
+func NewExact(entries, assoc, lines int) *ExactPredictor {
 	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
 		panic(fmt.Sprintf("predictor: bad exact geometry %d entries / %d ways", entries, assoc))
 	}
-	return &ExactPredictor{table: cache.NewTagArray(entries/assoc, assoc)}
+	return &ExactPredictor{table: cache.NewTagArrayFor(entries/assoc, assoc, lines)}
 }
 
 // Predict reports presence in the table, touching a hit to MRU.

@@ -108,16 +108,19 @@ type SupersetPredictor struct {
 
 // NewSuperset builds a superset predictor. excludeEntries/excludeAssoc
 // size the exclude cache; useExclude disables it entirely when false.
-func NewSuperset(fieldBits []uint, excludeEntries, excludeAssoc int, useExclude bool) *SupersetPredictor {
+// lines bounds the distinct supplier lines the predictor will be trained
+// with and excludeLines the distinct lines it can be asked about; they
+// size only the initial tables.
+func NewSuperset(fieldBits []uint, excludeEntries, excludeAssoc int, useExclude bool, lines, excludeLines int) *SupersetPredictor {
 	p := &SupersetPredictor{
 		bloom:   NewBloomFilter(fieldBits),
-		tracked: *hotmap.New[int32](256),
+		tracked: *hotmap.New[int32](min(256, lines)),
 	}
 	if useExclude {
 		if excludeEntries <= 0 || excludeAssoc <= 0 || excludeEntries%excludeAssoc != 0 {
 			panic(fmt.Sprintf("predictor: bad exclude-cache geometry %d/%d", excludeEntries, excludeAssoc))
 		}
-		p.exclude = cache.NewTagArray(excludeEntries/excludeAssoc, excludeAssoc)
+		p.exclude = cache.NewTagArrayFor(excludeEntries/excludeAssoc, excludeAssoc, excludeLines)
 	}
 	return p
 }

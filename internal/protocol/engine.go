@@ -179,7 +179,22 @@ type Options struct {
 	// retransmit (see fault.go). Nil or empty leaves the engine
 	// cycle-identical to a build without the fault layer.
 	Faults *fault.Plan
+
+	// LinesPerCore bounds the distinct lines one core references in the
+	// run (machine.Run derives it from the workload). It caps the
+	// presized per-line tables and the first allocation of the cache
+	// arrays, all of which grow on demand, so it changes no result.
+	// Zero means no bound: every table starts at its full default size.
+	LinesPerCore int
 }
+
+// Default presizes of the per-line tables, reached by jobs of about 200
+// or more references per core; smaller jobs start them smaller (see
+// Options.LinesPerCore).
+const (
+	lineTabHint     = 4096 // e.lines: every line of the machine
+	supplierIdxHint = 1024 // node.supplierIdx: the node's lines
+)
 
 // NewEngine builds the coherence engine on a simulation kernel.
 func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
@@ -189,10 +204,18 @@ func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
 	if opts.PolicyFor == nil {
 		return nil, fmt.Errorf("protocol: Options.PolicyFor is required")
 	}
+	if err := opts.Predictor.Validate(); err != nil {
+		return nil, err
+	}
 	if err := opts.Faults.Validate(); err != nil {
 		return nil, err
 	}
 	m := opts.Machine
+	coreLines := opts.LinesPerCore
+	if coreLines <= 0 || coreLines > lineTabHint {
+		coreLines = lineTabHint // no table is presized beyond this
+	}
+	nodeLines, machineLines := coreLines*m.CoresPerCMP, coreLines*m.TotalCores()
 	e := &Engine{
 		cfg:     m,
 		predCfg: opts.Predictor,
@@ -201,8 +224,9 @@ func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
 		meter:   energy.NewMeter(opts.Energy),
 		// Pre-sized for steady-state footprints: tables that rehash
 		// mid-run both allocate and perturb wall time, so start them
-		// near their working-set sizes.
-		lines: newLineTab(4096),
+		// near their working-set sizes, capped by what the job can
+		// touch.
+		lines: newLineTab(min(lineTabHint, machineLines)),
 		byID:  *hotmap.New[*txn](256),
 	}
 	for i := 0; i < m.NumRings; i++ {
@@ -224,14 +248,14 @@ func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
 		n := &node{
 			id:          i,
 			e:           e,
-			mem:         memory.NewController(i, m),
-			supplierIdx: *hotmap.New[int32](1024),
+			mem:         memory.NewController(i, m, machineLines),
+			supplierIdx: *hotmap.New[int32](min(supplierIdxHint, nodeLines)),
 			outstanding: *hotmap.New[*txn](64),
 			ringStates:  *hotmap.New[*ringState](64),
 		}
 		for c := 0; c < m.CoresPerCMP; c++ {
-			n.l1 = append(n.l1, cache.NewArray(m.L1))
-			n.l2 = append(n.l2, cache.NewArray(m.L2))
+			n.l1 = append(n.l1, cache.NewArray(m.L1, coreLines))
+			n.l2 = append(n.l2, cache.NewArray(m.L2, coreLines))
 		}
 		pol := opts.PolicyFor(i)
 		if pol == nil {
@@ -239,7 +263,7 @@ func NewEngine(kern *sim.Kernel, opts Options) (*Engine, error) {
 		}
 		n.policy = pol
 		nodeID := i
-		n.pred = predictor.New(opts.Predictor, func(a cache.LineAddr) bool {
+		n.pred = predictor.New(opts.Predictor, nodeLines, machineLines, func(a cache.LineAddr) bool {
 			return e.nodes[nodeID].supplierIdx.Has(uint64(a))
 		})
 		if pol.Algorithm().UsesPredictor() && n.pred == nil {

@@ -233,11 +233,13 @@ func (e *Engine) performWrite(nodeID, coreID int, addr cache.LineAddr) {
 		panic("protocol: performWrite on an absent line")
 	}
 	wasSupplier := line.State.GlobalSupplier()
+	version := e.nextVersion(addr)
 	line.State = cache.Dirty
-	line.Version = e.nextVersion(addr)
-	e.observe(nodeID, coreID, true, addr, line.Version)
+	line.Version = version
+	e.observe(nodeID, coreID, true, addr, version)
+	// Touch moves the set's lines, so line no longer points at addr's.
 	n.l2[coreID].Touch(addr)
-	n.l1[coreID].Insert(addr, cache.Shared, line.Version)
+	n.l1[coreID].Insert(addr, cache.Shared, version)
 	// Invalidate every other CMP-local copy (the ring message does not
 	// visit the requester's own CMP).
 	for c := range n.l2 {

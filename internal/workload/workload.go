@@ -157,7 +157,7 @@ func NewGenerator(p Profile, globalCore int, ops uint64, seed int64) *Generator 
 	}
 	return &Generator{
 		p:    p,
-		rng:  rand.New(rand.NewSource(seed ^ int64(globalCore+1)*0x5851F42D4C957F2D)),
+		rng:  rand.New(newRNGSource(seed ^ int64(globalCore+1)*0x5851F42D4C957F2D)),
 		left: ops,
 		priv: privateStride * cache.LineAddr(globalCore+1),
 	}
