@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flexsnoop"
+	"flexsnoop/internal/config"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -95,6 +96,34 @@ func TestPredictorOverride(t *testing.T) {
 	}
 	if res.Predictor != "Sub512" {
 		t.Errorf("predictor = %s, want Sub512", res.Predictor)
+	}
+}
+
+// TestPredictorAccessCycles pins where PredictorConfig.AccessCycles acts
+// on timing: a snoop whose forwarding decision consulted the predictor
+// waits that many cycles, so a slower predictor lengthens a SupersetAgg
+// run. Lazy and Eager never consult one, so their Results stay identical
+// (the field's other reader, the snoop-response deadline, only fires
+// under a fault plan).
+func TestPredictorAccessCycles(t *testing.T) {
+	run := func(alg flexsnoop.Algorithm, extra int) flexsnoop.Result {
+		t.Helper()
+		p := config.DefaultPredictorFor(alg)
+		p.AccessCycles += extra
+		res, err := flexsnoop.Simulate(context.Background(), alg, flexsnoop.FromWorkload("barnes"),
+			flexsnoop.Options{OpsPerCore: 200, Predictor: &p})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		return res
+	}
+	if base, slow := run(flexsnoop.SupersetAgg, 0), run(flexsnoop.SupersetAgg, 10); slow.Cycles <= base.Cycles {
+		t.Errorf("SupersetAgg: %d cycles with 10 more predictor access cycles, want more than %d", slow.Cycles, base.Cycles)
+	}
+	for _, alg := range []flexsnoop.Algorithm{flexsnoop.Lazy, flexsnoop.Eager} {
+		if base, slow := run(alg, 0), run(alg, 10); !reflect.DeepEqual(base, slow) {
+			t.Errorf("%s: Result changed with the predictor's access cycles (%d → %d cycles)", alg, base.Cycles, slow.Cycles)
+		}
 	}
 }
 

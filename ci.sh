@@ -27,6 +27,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench build =="
+# perfbench is its own module, so `go build ./...` never compiles it. Vet
+# and build it against the working tree, so a change that breaks the
+# benchmark fails here rather than in a benchmark run.
+(cd perfbench && go vet . && go build -o /dev/null .)
+
 echo "== go test (shuffled) =="
 # -shuffle=on randomises test order within each package, so tests that
 # silently depend on a predecessor's side effects fail here rather than
@@ -74,7 +80,7 @@ echo "== federation smoke =="
 # the static worker is SIGKILLed mid-sweep. The sweep must complete via
 # failover, its output must be byte-identical to the serial sweep, and
 # the coordinator's /statsz must report the killed worker's breaker_state
-# as "open".
+# as "open". A sweep given a list of -remote URLs must exit 2.
 go test -run TestRingsimdFederation -count=1 ./cmd/ringsimd
 
 echo "== overload smoke =="

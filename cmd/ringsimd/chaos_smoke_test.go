@@ -112,7 +112,7 @@ func TestRingsimdChaosKill9(t *testing.T) {
 	// acknowledged-but-incomplete jobs (busy workers or a backlog).
 	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
 	defer cancel()
-	cc := &service.Client{BaseURL: base, PollInterval: 5 * time.Millisecond}
+	cc := &service.Client{BaseURL: base}
 	for deadline := time.Now().Add(120 * time.Second); ; {
 		select {
 		case err := <-fedDone:

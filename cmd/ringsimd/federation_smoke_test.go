@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -47,8 +48,8 @@ func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 // when the first worker is SIGKILLed mid-sweep. The sweep must complete,
 // its stdout must be byte-identical to the serial (in-process) sweep,
 // and the coordinator's /statsz must count the failover and report the
-// killed worker's breaker open. ci.sh runs this as the federation smoke
-// test.
+// killed worker's breaker open. A sweep given a list of URLs instead of
+// one must exit 2. ci.sh runs this as the federation smoke test.
 func TestRingsimdFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("federation smoke builds and execs three daemons and the sweep")
@@ -63,6 +64,17 @@ func TestRingsimdFederation(t *testing.T) {
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
+	}
+
+	// -remote takes one URL; a list exits 2 and points at a coordinator,
+	// the one fan-out.
+	var listErr bytes.Buffer
+	list := exec.Command(sweep, "-remote", "http://127.0.0.1:1,http://127.0.0.1:2")
+	list.Stderr = &listErr
+	var exitErr *exec.ExitError
+	if err := list.Run(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 ||
+		!strings.Contains(listErr.String(), "ringsimd -coordinator") {
+		t.Errorf("sweep -remote with two URLs: %v, stderr %q; want exit 2 naming ringsimd -coordinator", err, listErr.String())
 	}
 
 	// The sweep is sized so it cannot finish before the kill lands: ~13
@@ -83,7 +95,7 @@ func TestRingsimdFederation(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	cc := &service.Client{BaseURL: coord, PollInterval: 5 * time.Millisecond}
+	cc := &service.Client{BaseURL: coord}
 
 	// Both backends must be in the registry (the second arrives via
 	// -register) before the sweep starts, or the kill could leave a

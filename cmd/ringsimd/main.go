@@ -11,7 +11,7 @@
 //	         [-coordinator] [-backends URL,URL,...] [-hedge 0s]
 //	         [-register http://COORDINATOR] [-heartbeat 5s]
 //	         [-sojourn 0s] [-ratelimit 0] [-rateburst 0]
-//	         [-breaker N] [-breakerlatency 0s]
+//	         [-breaker N]
 //
 // Overload resilience (DESIGN.md §12), default-off: -sojourn enables
 // CoDel-style queue aging (sustained head-of-line sojourn above the
@@ -23,8 +23,7 @@
 // A coordinator keeps one circuit breaker per backend: -breaker
 // consecutive dispatch failures (or one failed health probe) open it,
 // the next passing probe or heartbeat makes it half-open, and the one
-// job it then takes closes or re-opens it. -breakerlatency additionally
-// counts slow successes as failures.
+// job it then takes closes or re-opens it.
 //
 // Durability (DESIGN.md §11): -wal journals every job state transition
 // before it is acknowledged and replays the journal on startup —
@@ -40,9 +39,10 @@
 // local worker pool and every backend whose breaker is not open, failed
 // backends are probed, failed over and retried, and the result cache
 // fronts the whole fleet. `-workers -1` disables local execution (pure
-// dispatcher). On a worker, `-register URL` keeps it registered with a
-// coordinator (heartbeat every -heartbeat, exponential backoff while
-// unreachable).
+// dispatcher). A coordinator waits on each dispatched job with one
+// blocking GET /v1/jobs/{id}?wait=1 to its worker. On a worker,
+// `-register URL` keeps it registered with a coordinator (heartbeat every
+// -heartbeat, exponential backoff while unreachable).
 //
 // On startup the daemon prints exactly one line to stdout:
 //
@@ -91,11 +91,10 @@ var (
 	registerFlag  = flag.String("register", "", "coordinator base URL to register this worker with (and heartbeat)")
 	heartbeatFlag = flag.Duration("heartbeat", 5*time.Second, "registration heartbeat interval when -register is set")
 
-	sojournFlag        = flag.Duration("sojourn", 0, "CoDel-style queue-sojourn target: shed low-priority jobs while head-of-line wait stays above it (0 disables)")
-	rateLimitFlag      = flag.Float64("ratelimit", 0, "per-client_id admissions per second (0 disables rate limiting)")
-	rateBurstFlag      = flag.Int("rateburst", 0, "token-bucket burst for -ratelimit (0 = ceil(ratelimit))")
-	breakerFlag        = flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = default 1)")
-	breakerLatencyFlag = flag.Duration("breakerlatency", 0, "count successful dispatches slower than this as breaker failures (0 disables)")
+	sojournFlag   = flag.Duration("sojourn", 0, "CoDel-style queue-sojourn target: shed low-priority jobs while head-of-line wait stays above it (0 disables)")
+	rateLimitFlag = flag.Float64("ratelimit", 0, "per-client_id admissions per second (0 disables rate limiting)")
+	rateBurstFlag = flag.Int("rateburst", 0, "token-bucket burst for -ratelimit (0 = ceil(ratelimit))")
+	breakerFlag   = flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = default 1)")
 )
 
 func main() {
@@ -122,7 +121,6 @@ func run() error {
 		RateLimit:       *rateLimitFlag,
 		RateBurst:       *rateBurstFlag,
 		BreakerFailures: *breakerFlag,
-		BreakerLatency:  *breakerLatencyFlag,
 	}
 	for _, u := range strings.Split(*backendsFlag, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -177,8 +175,9 @@ func run() error {
 	case sig := <-sigCh:
 		logger.Printf("%s: draining (deadline %s)", sig, *drainFlag)
 		// Stop heartbeating first so the coordinator stops dispatching
-		// here, then drain with the API still up so clients can poll the
-		// jobs they already own; then stop the listener.
+		// here, then drain with the API still up so clients can fetch the
+		// jobs they already own (Drain finalises every job, which releases
+		// every blocked wait); then stop the listener.
 		regCancel()
 		svc.Drain(*drainFlag)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

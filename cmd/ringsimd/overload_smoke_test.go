@@ -59,7 +59,7 @@ func TestRingsimdOverloadSmoke(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	c := &service.Client{BaseURL: base, PollInterval: 5 * time.Millisecond}
+	c := &service.Client{BaseURL: base}
 
 	baseline, err := c.Stats(ctx)
 	if err != nil {

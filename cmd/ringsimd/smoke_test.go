@@ -58,7 +58,7 @@ func TestRingsimdSmoke(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	c := &service.Client{BaseURL: base, PollInterval: 5 * time.Millisecond}
+	c := &service.Client{BaseURL: base}
 
 	spec := service.JobSpec{
 		Algorithm: "SupersetAgg",

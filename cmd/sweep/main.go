@@ -8,7 +8,7 @@
 //
 //	sweep [-ops 2000] [-seed 1] [-apps a,b,c] [-v]
 //	      [-faults "kind=drop,rate=0.05,seed=1"]
-//	      [-remote http://HOST:PORT[,http://HOST:PORT...]] [-parallel N]
+//	      [-remote http://HOST:PORT] [-parallel N]
 //	      [-deadline 0s] [-clientid NAME]
 //
 // With -remote, every cell of the sweep is submitted to a running
@@ -21,10 +21,9 @@
 // The simulator is deterministic, so remote results are bit-identical
 // and the reported figures are unchanged; the server's queue provides
 // the backpressure, and its cache collapses repeated sweeps. -remote
-// accepts a comma-separated list of servers (cells are round-robined
-// across them) — or, better, a single ringsimd coordinator URL, which
-// fans out across its registered fleet with health checks and failover
-// (see ringsimd -coordinator).
+// takes one URL; to spread cells over several servers, pass the URL of a
+// ringsimd coordinator, which fans out across its fleet with health
+// checks and failover (see ringsimd -coordinator).
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"flexsnoop"
 	"flexsnoop/internal/cli"
@@ -48,7 +46,7 @@ var (
 	appsFlag     = flag.String("apps", "", "comma-separated SPLASH-2 subset")
 	verbose      = flag.Bool("v", false, "per-run progress")
 	faultsFlag   = flag.String("faults", "", "fault plan applied to every run (see ringsim -faults)")
-	remoteFlag   = flag.String("remote", "", "comma-separated ringsimd base URLs (or one coordinator URL) to submit runs to instead of simulating in-process")
+	remoteFlag   = flag.String("remote", "", "ringsimd base URL (a coordinator's, to use a fleet) to submit runs to instead of simulating in-process")
 	parFlag      = flag.Int("parallel", 0, "concurrent cells (default GOMAXPROCS; with -remote, in-flight submissions)")
 	deadlineFlag = flag.Duration("deadline", 0, "per-cell end-to-end deadline submitted with each remote run (0 = none; requires -remote)")
 	clientIDFlag = flag.String("clientid", "", "client_id submitted with each remote run, for server-side rate limiting (requires -remote)")
@@ -73,20 +71,11 @@ func main() {
 	}
 	opts.Parallelism = *parFlag
 	if *remoteFlag != "" {
-		var clients []*service.Client
-		for _, u := range strings.Split(*remoteFlag, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				clients = append(clients, &service.Client{BaseURL: strings.TrimRight(u, "/")})
-			}
-		}
-		if len(clients) == 0 {
-			fmt.Fprintln(os.Stderr, "sweep: -remote has no usable URLs")
+		if strings.Contains(*remoteFlag, ",") {
+			fmt.Fprintln(os.Stderr, "sweep: -remote takes one URL; to run cells on several servers, start a ringsimd -coordinator in front of them and pass its URL")
 			os.Exit(2)
 		}
-		// Round-robin cells across the listed servers. Which server runs a
-		// cell does not affect its result (the simulator is deterministic),
-		// so the figures stay bit-identical regardless of the fan-out.
-		var next atomic.Uint64
+		c := &service.Client{BaseURL: strings.TrimRight(strings.TrimSpace(*remoteFlag), "/")}
 		opts.Runner = func(ctx context.Context, alg flexsnoop.Algorithm, workload string, o flexsnoop.Options) (flexsnoop.Result, error) {
 			spec, err := service.SpecFor(alg, workload, o)
 			if err != nil {
@@ -94,7 +83,6 @@ func main() {
 			}
 			spec.DeadlineMS = deadlineFlag.Milliseconds()
 			spec.ClientID = *clientIDFlag
-			c := clients[int(next.Add(1)-1)%len(clients)]
 			return c.Run(ctx, spec)
 		}
 	} else if *deadlineFlag != 0 || *clientIDFlag != "" {

@@ -86,10 +86,9 @@ func TestChecksDetectBrokenInvariants(t *testing.T) {
 func TestDrainedDetectsOutstanding(t *testing.T) {
 	kern, e := newEngine(t)
 	e.Access(0, 0, protocol.Load, 0x40, nil)
-	// Run only a few events: the transaction is still in flight.
-	for i := 0; i < 5; i++ {
-		kern.Step()
-	}
+	// Stop at cycle 200: the miss has gone out on the ring, and the load
+	// completes only at cycle 1,113.
+	kern.Run(200)
 	err := checker.New(e).CheckDrained()
 	if err == nil {
 		t.Fatal("in-flight transaction passed the drain check")

@@ -74,13 +74,9 @@ type Core struct {
 	wbStallFrom sim.Time
 }
 
-// New builds a core with blocking loads. onFinish fires once when the
-// stream ends and the write buffer drains; it may be nil.
-func New(kern *sim.Kernel, mem Memory, node, core, writeBufferEntries int, src workload.Source, onFinish func()) *Core {
-	return NewMLP(kern, mem, node, core, writeBufferEntries, 1, src, onFinish)
-}
-
-// NewMLP builds a core with up to maxOutstandingLoads loads in flight.
+// NewMLP builds a core with up to maxOutstandingLoads loads in flight
+// (1 gives blocking loads). onFinish fires once when the stream ends and
+// the write buffer drains; it may be nil.
 func NewMLP(kern *sim.Kernel, mem Memory, node, core, writeBufferEntries, maxOutstandingLoads int, src workload.Source, onFinish func()) *Core {
 	if writeBufferEntries < 1 {
 		panic("cpu: write buffer needs at least one entry")

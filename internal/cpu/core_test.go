@@ -51,7 +51,7 @@ func TestBlockingLoads(t *testing.T) {
 	kern := sim.NewKernel()
 	mem := &fakeMem{kern: kern, loadLat: 100}
 	finished := false
-	c := New(kern, mem, 0, 0, 8, workload.NewSliceSource(ops(5, 10, false)), func() { finished = true })
+	c := NewMLP(kern, mem, 0, 0, 8, 1, workload.NewSliceSource(ops(5, 10, false)), func() { finished = true })
 	c.Start()
 	kern.RunAll()
 	if !finished || !c.Finished() {
@@ -75,7 +75,7 @@ func TestBlockingLoads(t *testing.T) {
 func TestStoresDoNotBlock(t *testing.T) {
 	kern := sim.NewKernel()
 	mem := &fakeMem{kern: kern, storeLat: 1000}
-	c := New(kern, mem, 0, 0, 8, workload.NewSliceSource(ops(4, 0, true)), nil)
+	c := NewMLP(kern, mem, 0, 0, 8, 1, workload.NewSliceSource(ops(4, 0, true)), nil)
 	c.Start()
 	kern.RunAll()
 	// 4 stores fit the buffer: the core advances one cycle per store and
@@ -94,7 +94,7 @@ func TestStoresDoNotBlock(t *testing.T) {
 func TestWriteBufferStalls(t *testing.T) {
 	kern := sim.NewKernel()
 	mem := &fakeMem{kern: kern, storeLat: 1000}
-	c := New(kern, mem, 0, 0, 2, workload.NewSliceSource(ops(4, 0, true)), nil)
+	c := NewMLP(kern, mem, 0, 0, 2, 1, workload.NewSliceSource(ops(4, 0, true)), nil)
 	c.Start()
 	kern.RunAll()
 	if c.WBStall == 0 {
@@ -116,7 +116,7 @@ func TestMixedStream(t *testing.T) {
 		{Compute: 2, Addr: 2, Store: true},
 		{Compute: 3, Addr: 3},
 	}
-	c := New(kern, mem, 0, 0, 4, workload.NewSliceSource(stream), nil)
+	c := NewMLP(kern, mem, 0, 0, 4, 1, workload.NewSliceSource(stream), nil)
 	c.Start()
 	kern.RunAll()
 	if c.Loads != 2 || c.Stores != 1 {
@@ -134,7 +134,7 @@ func TestEmptyStreamFinishesImmediately(t *testing.T) {
 	kern := sim.NewKernel()
 	mem := &fakeMem{kern: kern}
 	done := false
-	c := New(kern, mem, 0, 0, 1, workload.NewSliceSource(nil), func() { done = true })
+	c := NewMLP(kern, mem, 0, 0, 1, 1, workload.NewSliceSource(nil), func() { done = true })
 	c.Start()
 	kern.RunAll()
 	if !done || c.FinishedAt != 0 || c.Instructions != 0 {
@@ -148,7 +148,7 @@ func TestBadWriteBufferPanics(t *testing.T) {
 			t.Error("zero write buffer accepted")
 		}
 	}()
-	New(sim.NewKernel(), &fakeMem{}, 0, 0, 0, workload.NewSliceSource(nil), nil)
+	NewMLP(sim.NewKernel(), &fakeMem{}, 0, 0, 0, 1, workload.NewSliceSource(nil), nil)
 }
 
 func TestMLPOverlapsLoads(t *testing.T) {

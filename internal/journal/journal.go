@@ -45,9 +45,10 @@ import (
 // Record kinds, in lifecycle order.
 const (
 	// KindSubmitted: a job was admitted. Carries the job ID, its
-	// admission sequence and priority (so a replayed queue pops in the
-	// original order), the fingerprint, and — for the first job of an
-	// execution — the raw wire spec to re-execute from.
+	// admission sequence, the fingerprint, the priority and admission
+	// sequence of the execution it joined (so a replayed queue pops in
+	// the original order), and — for the job that created the execution
+	// — the raw wire spec to re-execute from.
 	KindSubmitted = "submitted"
 	// KindDone: an execution finished. With an empty Error the result is
 	// in the disk cache under the fingerprint; a non-empty Error records
@@ -58,13 +59,16 @@ const (
 )
 
 // Record is one journal entry. Fields are omitted when irrelevant to
-// the kind.
+// the kind. On a submitted record, Priority is the priority of the
+// execution the job joined, and ExecSeq is that execution's admission
+// sequence; zero means the job's own Seq.
 type Record struct {
 	Kind        string          `json:"kind"`
 	JobID       string          `json:"job,omitempty"`
 	Seq         uint64          `json:"seq,omitempty"`
 	Fingerprint string          `json:"fp,omitempty"`
 	Priority    int             `json:"priority,omitempty"`
+	ExecSeq     uint64          `json:"exec_seq,omitempty"`
 	Spec        json.RawMessage `json:"spec,omitempty"`
 	Error       string          `json:"error,omitempty"`
 }

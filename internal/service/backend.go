@@ -68,7 +68,7 @@ type BackendRegistration struct {
 
 // breakerState is the per-backend circuit-breaker state machine:
 // closed (dispatch normally) → open (no dispatch, after BreakerFailures
-// consecutive transient failures, a slow success or a failed probe) →
+// consecutive transient failures or a failed probe) →
 // half-open (after a passing probe or a heartbeat: one job at a time;
 // success closes, failure re-opens).
 type breakerState int
@@ -200,7 +200,7 @@ func (s *Server) newRemoteBackendLocked(url string, workers int) *backend {
 		// Transport retries are disabled: the coordinator's failover IS its
 		// retry mechanism, and it needs transport errors surfaced promptly
 		// to open the backend's breaker and requeue elsewhere.
-		client: &Client{BaseURL: url, PollInterval: s.cfg.RemotePoll, MaxTransportRetries: -1},
+		client: &Client{BaseURL: url, MaxTransportRetries: -1},
 		slots:  workers,
 	}
 	s.backends = append(s.backends, b)
@@ -247,21 +247,15 @@ func (s *Server) anyAvailableLocked() bool {
 }
 
 // backendObserveLocked feeds one finished dispatch attempt into the
-// backend's circuit breaker: transient failures (and, with
-// BreakerLatency set, slow successes) count against it, clean successes
-// close it. No-op for the local pool (its failures are the job's, not
-// the substrate's), for cancellations and for expiries.
-func (s *Server) backendObserveLocked(b *backend, err error, latency time.Duration) {
+// backend's circuit breaker: transient failures count against it,
+// successes close it. No-op for the local pool (its failures are the
+// job's, not the substrate's), for cancellations and for expiries.
+func (s *Server) backendObserveLocked(b *backend, err error) {
 	if b.client == nil {
 		return
 	}
 	switch {
 	case err == nil:
-		if s.cfg.BreakerLatency > 0 && latency > s.cfg.BreakerLatency {
-			s.breakerFailureLocked(b, fmt.Errorf("dispatch took %s, over the %s latency bound",
-				latency.Round(time.Millisecond), s.cfg.BreakerLatency))
-			return
-		}
 		if b.breaker != breakerClosed {
 			s.logf("backend %s breaker closed (dispatch succeeded)", b.name)
 		}
@@ -352,9 +346,10 @@ func transient(err error) bool {
 // runRemote executes one attempt of ex on a remote backend: submit
 // (with backpressure backoff), wait for a terminal state, translate it
 // back into the local execution's terms. Every attempt runs under the
-// execution's context, and its cancellation is propagated: the poll loop
-// stops immediately and the remote job is cancelled best-effort so the
-// worker's slot frees promptly.
+// execution's context, and its cancellation is propagated: the blocked
+// wait ends immediately and SubmitWait cancels the remote job
+// best-effort so the worker's slot frees promptly, even if the
+// cancellation came while the submit was in flight.
 func (s *Server) runRemote(b *backend, ex *execution) (flexsnoop.Result, error) {
 	ctx := ex.ctx
 	spec := ex.spec
@@ -362,7 +357,7 @@ func (s *Server) runRemote(b *backend, ex *execution) (flexsnoop.Result, error) 
 	if !ex.deadline.IsZero() {
 		// End-to-end deadline: the worker gets only the budget that is
 		// left after this job's time in the coordinator's queue, and the
-		// coordinator stops polling the moment the deadline passes.
+		// coordinator stops waiting the moment the deadline passes.
 		remaining := time.Until(ex.deadline)
 		if remaining <= 0 {
 			return flexsnoop.Result{}, fmt.Errorf("%w: before remote dispatch to %s", ErrExpired, b.name)
@@ -374,31 +369,16 @@ func (s *Server) runRemote(b *backend, ex *execution) (flexsnoop.Result, error) 
 		ctx, cancel = context.WithDeadline(ctx, ex.deadline)
 		defer cancel()
 	}
-	st, err := b.client.submitBackoff(ctx, spec)
+	st, err := b.client.SubmitWait(ctx, spec)
 	if err != nil {
+		if ctx.Err() == nil {
+			return flexsnoop.Result{}, err
+		}
+		// Our side gave up (deadline, job cancel or drain): report why.
 		if expired := remoteExpiry(ctx, ex); expired != nil {
 			return flexsnoop.Result{}, expired
 		}
-		return flexsnoop.Result{}, err
-	}
-	switch st.State {
-	case StateQueued, StateRunning:
-		id := st.ID // Wait returns a zero status on error
-		st, err = b.client.Wait(ctx, id)
-		if err != nil {
-			if ctx.Err() == nil {
-				return flexsnoop.Result{}, err
-			}
-			// Our side gave up (deadline, job cancel or drain): release the
-			// worker's slot best-effort, then report why.
-			cancelCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, _ = b.client.Cancel(cancelCtx, id)
-			cancel()
-			if expired := remoteExpiry(ctx, ex); expired != nil {
-				return flexsnoop.Result{}, expired
-			}
-			return flexsnoop.Result{}, context.Canceled
-		}
+		return flexsnoop.Result{}, context.Canceled
 	}
 	switch st.State {
 	case StateDone:

@@ -174,7 +174,6 @@ func TestFederationThroughFlakyProxy(t *testing.T) {
 	cfg := Config{
 		Workers:         1, // the guaranteed-progress fallback
 		Backends:        []string{proxy.URL()},
-		RemotePoll:      2 * time.Millisecond,
 		HealthInterval:  25 * time.Millisecond,
 		DispatchRetries: 8,
 	}

@@ -15,15 +15,12 @@ import (
 )
 
 // Client is a minimal stdlib client for a ringsimd server, used by
-// `sweep -remote` and the smoke tests. The zero HTTPClient and poll
-// interval get sensible defaults.
+// `sweep -remote`, the coordinator and the smoke tests.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval paces Wait's status polls (default 50ms).
-	PollInterval time.Duration
 	// MaxTransportRetries bounds per-call retries of transient transport
 	// errors — connection refused or reset, an unexpected EOF, a dropped
 	// proxy — on a capped exponential schedule (see retrySchedule).
@@ -36,20 +33,26 @@ type Client struct {
 	MaxTransportRetries int
 }
 
-const defaultTransportRetries = 10
+const (
+	defaultTransportRetries = 10
+	// retryBase is the first wait of both retry schedules: transport
+	// retries (retrySchedule) and 429 backoff without a Retry-After
+	// (submitBackoff).
+	retryBase = 50 * time.Millisecond
+	// maxRetryAfter caps how long a server-sent Retry-After is honored —
+	// a confused (or hostile) server must not park the client for
+	// minutes.
+	maxRetryAfter = 30 * time.Second
+	// cancelGrace bounds how long a submission, and the cancel of a job
+	// whose caller gave up, may outlive the caller's context.
+	cancelGrace = 2 * time.Second
+)
 
 func (c *Client) http() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) poll() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 50 * time.Millisecond
 }
 
 // remoteError is a non-2xx API response surfaced as a Go error.
@@ -135,26 +138,14 @@ func transientTransport(err error) bool {
 }
 
 // retrySchedule is the wait before transport-retry attempt n (1-based):
-// base, doubling per attempt, capped. Pure, so the schedule itself is
-// unit-testable.
-func retrySchedule(attempt int, base, limit time.Duration) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if limit <= 0 {
-		limit = time.Second
-	}
-	wait := base
-	for i := 1; i < attempt; i++ {
+// retryBase, doubling per attempt, capped at one second. Pure, so the
+// schedule itself is unit-testable.
+func retrySchedule(attempt int) time.Duration {
+	wait := retryBase
+	for i := 1; i < attempt && wait < time.Second; i++ {
 		wait *= 2
-		if wait >= limit {
-			return limit
-		}
 	}
-	if wait > limit {
-		return limit
-	}
-	return wait
+	return min(wait, time.Second)
 }
 
 // doRetry is do with transport-error retries. Retrying a submit is safe
@@ -171,7 +162,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body, out any
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(retrySchedule(attempt+1, c.poll(), time.Second)):
+		case <-time.After(retrySchedule(attempt + 1)):
 		}
 	}
 }
@@ -186,23 +177,23 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 }
 
 // SubmitWait submits with bounded-backoff retries on queue-full
-// backpressure (429 + Retry-After), then polls until the job reaches a
-// terminal state.
+// backpressure (429 + Retry-After), then waits until the job reaches a
+// terminal state. A caller that gives up leaves nothing running: once
+// ctx ends, the job it submitted is cancelled best-effort, even if ctx
+// ended while the submission was in flight.
 func (c *Client) SubmitWait(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	st, err := c.submitBackoff(ctx, spec)
-	if err != nil {
-		return JobStatus{}, err
+	id := st.ID
+	if err == nil && !terminal(st.State) {
+		st, err = c.Wait(ctx, id)
 	}
-	switch st.State {
-	case StateDone, StateFailed, StateCanceled:
-		return st, nil // cache hit (or instant terminal): nothing to poll
+	if err != nil && ctx.Err() != nil && id != "" {
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelGrace)
+		defer cancel()
+		_, _ = c.Cancel(cctx, id)
 	}
-	return c.Wait(ctx, st.ID)
+	return st, err
 }
-
-// maxRetryAfter caps how long a server-sent Retry-After is honored — a
-// confused (or hostile) server must not park the client for minutes.
-const maxRetryAfter = 30 * time.Second
 
 // submitBackoff submits until the job is admitted, retrying 429
 // backpressure. When the server sends Retry-After, that is the wait: the
@@ -210,15 +201,25 @@ const maxRetryAfter = 30 * time.Second
 // client-side guess in both directions — no hammering a deeply backed-up
 // queue, no idling in front of one about to clear (capped at
 // maxRetryAfter in case the server's estimate is wild). Without the
-// header the client falls back to exponential backoff from the poll
-// interval up to one second. Every other error — including ctx expiring
-// mid-backoff — returns immediately.
+// header the client falls back to exponential backoff from retryBase up
+// to one second. Every other error — including ctx expiring mid-backoff —
+// returns immediately.
+//
+// A POST may outlive ctx by cancelGrace: the server may admit a job
+// whose caller gave up meanwhile, and only the response names it. Such a
+// job is returned with ctx's error, for SubmitWait to cancel.
 func (c *Client) submitBackoff(ctx context.Context, spec JobSpec) (JobStatus, error) {
-	backoff := c.poll()
+	if err := ctx.Err(); err != nil {
+		return JobStatus{}, err
+	}
+	postCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	defer context.AfterFunc(ctx, func() { time.AfterFunc(cancelGrace, cancel) })()
+	backoff := retryBase
 	for {
-		st, err := c.Submit(ctx, spec)
+		st, err := c.Submit(postCtx, spec)
 		if err == nil {
-			return st, nil
+			return st, ctx.Err()
 		}
 		re, ok := err.(*remoteError)
 		if !ok || re.StatusCode != http.StatusTooManyRequests {
@@ -242,14 +243,6 @@ func (c *Client) submitBackoff(ctx context.Context, spec JobSpec) (JobStatus, er
 	}
 }
 
-// Status fetches one job's status (with transport retries: a status
-// poll is idempotent).
-func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
 // Cancel cancels one job (with transport retries: cancellation is
 // idempotent).
 func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
@@ -258,23 +251,19 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Wait polls a job until it is done, failed, or canceled.
+// Wait blocks until a job is done, failed, or canceled: one GET
+// /v1/jobs/{id}?wait=1, which the server answers once the job is terminal
+// (with transport retries: the wait is idempotent).
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case <-time.After(c.poll()):
-		}
+	var st JobStatus
+	if err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait=1", nil, &st); err != nil {
+		return JobStatus{}, err
 	}
+	if !terminal(st.State) {
+		// Only a server that ignores ?wait answers it with a live job.
+		return JobStatus{}, fmt.Errorf("service: job %s still %s after a blocking wait: the server at %s does not support ?wait=1", id, st.State, c.BaseURL)
+	}
+	return st, nil
 }
 
 // Run submits (with backpressure retry), waits, and returns the Result —

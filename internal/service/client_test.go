@@ -14,7 +14,7 @@ import (
 // backpressureServer answers POST /v1/jobs with 429 for the first
 // `rejects` attempts — sending Retry-After: retryAfter when non-empty —
 // then admits the job as done (terminal, so the client never needs to
-// poll).
+// wait).
 func backpressureServer(rejects int32, retryAfter string) (*httptest.Server, *atomic.Int32) {
 	var attempts atomic.Int32
 	mux := http.NewServeMux()
@@ -33,13 +33,12 @@ func backpressureServer(rejects int32, retryAfter string) (*httptest.Server, *at
 
 // TestClientBackoffSchedule: with no Retry-After from the server,
 // submitBackoff retries only 429s, with exponential backoff starting at
-// the poll interval — so three rejections cost at least poll + 2*poll +
-// 4*poll of waiting before the fourth attempt is admitted.
+// retryBase — so three rejections cost at least base + 2*base + 4*base
+// of waiting before the fourth attempt is admitted.
 func TestClientBackoffSchedule(t *testing.T) {
 	ts, attempts := backpressureServer(3, "")
 	defer ts.Close()
-	const poll = 10 * time.Millisecond
-	c := &Client{BaseURL: ts.URL, PollInterval: poll}
+	c := &Client{BaseURL: ts.URL}
 
 	start := time.Now()
 	st, err := c.SubmitWait(context.Background(), smallSpec(1))
@@ -54,8 +53,8 @@ func TestClientBackoffSchedule(t *testing.T) {
 		t.Errorf("attempts = %d, want 4 (three 429s, then admitted)", got)
 	}
 	// Lower bound only: wall-clock upper bounds are flaky under load.
-	if min := 7 * poll; elapsed < min {
-		t.Errorf("elapsed = %s, want >= %s (backoff %s+%s+%s)", elapsed, min, poll, 2*poll, 4*poll)
+	if min := 7 * retryBase; elapsed < min {
+		t.Errorf("elapsed = %s, want >= %s (backoff %s+%s+%s)", elapsed, min, retryBase, 2*retryBase, 4*retryBase)
 	}
 }
 
@@ -66,9 +65,9 @@ func TestClientBackoffSchedule(t *testing.T) {
 func TestClientHonorsRetryAfter(t *testing.T) {
 	ts, attempts := backpressureServer(1, "1")
 	defer ts.Close()
-	// A 300ms client backoff would beat the server's 1s ask; honoring the
-	// header means the retry waits the full second anyway.
-	c := &Client{BaseURL: ts.URL, PollInterval: 300 * time.Millisecond}
+	// The client's own first backoff (retryBase) would beat the server's
+	// 1s ask; honoring the header means the retry waits the full second.
+	c := &Client{BaseURL: ts.URL}
 
 	start := time.Now()
 	st, err := c.SubmitWait(context.Background(), smallSpec(1))
@@ -88,11 +87,12 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 }
 
 // TestClientBackoffCancel: a context cancelled mid-backoff aborts the
-// retry loop promptly instead of sleeping out the full wait.
+// retry loop promptly instead of sleeping out the full wait, here the
+// server's one-second Retry-After.
 func TestClientBackoffCancel(t *testing.T) {
-	ts, attempts := backpressureServer(1<<30, "") // never admits
+	ts, attempts := backpressureServer(1<<30, "1") // never admits
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: 500 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(50 * time.Millisecond); cancel() }()
@@ -121,7 +121,7 @@ func TestClientBackoffOnlyRetries429(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	_, err := c.SubmitWait(context.Background(), smallSpec(3))
 	var re *remoteError
@@ -143,7 +143,7 @@ func TestClientRunDoneWithoutResult(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	_, err := c.Run(context.Background(), smallSpec(4))
 	if err == nil || !strings.Contains(err.Error(), "j-000001") {

@@ -22,12 +22,11 @@ func newWorker(t *testing.T, workers int) (*Server, string) {
 }
 
 // coordCfg is a coordinator config tuned for tests: no local execution,
-// fast polls and probes.
+// fast probes.
 func coordCfg(backends ...string) Config {
 	return Config{
 		Workers:        -1,
 		Backends:       backends,
-		RemotePoll:     2 * time.Millisecond,
 		HealthInterval: 50 * time.Millisecond,
 	}
 }
@@ -62,7 +61,7 @@ func TestFederationMatchesInProcess(t *testing.T) {
 	defer coord.Close()
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	results := make([]flexsnoop.Result, len(configs))
 	errs := make([]error, len(configs))
@@ -204,11 +203,11 @@ func TestFederationAllBackendsDead(t *testing.T) {
 func TestFederationRegistration(t *testing.T) {
 	worker, workerURL := newWorker(t, 2)
 
-	coord := mustNew(t, Config{Workers: -1, Coordinator: true, RemotePoll: 2 * time.Millisecond})
+	coord := mustNew(t, Config{Workers: -1, Coordinator: true})
 	defer coord.Close()
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	if err := c.Register(context.Background(), BackendRegistration{URL: workerURL, Workers: 2}); err != nil {
 		t.Fatalf("register: %v", err)
@@ -302,7 +301,7 @@ func TestFederationProbeRecovery(t *testing.T) {
 
 	// A heartbeat re-admits without waiting for a probe: this coordinator
 	// never probes within the test.
-	hb := mustNew(t, Config{Workers: -1, Coordinator: true, RemotePoll: 2 * time.Millisecond, HealthInterval: time.Hour})
+	hb := mustNew(t, Config{Workers: -1, Coordinator: true, HealthInterval: time.Hour})
 	defer hb.Close()
 	reg := BackendRegistration{URL: workerURL, Workers: 2}
 	if err := hb.RegisterBackend(reg); err != nil {

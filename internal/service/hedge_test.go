@@ -102,7 +102,6 @@ func TestHedgeMismatchDetected(t *testing.T) {
 	cfg := Config{
 		Workers:        1, // the honest primary: local, index 0, wins the tie
 		Backends:       []string{stub.URL},
-		RemotePoll:     2 * time.Millisecond,
 		HealthInterval: 50 * time.Millisecond,
 		HedgeDelay:     time.Millisecond,
 	}
@@ -135,31 +134,31 @@ func TestHedgeMismatchDetected(t *testing.T) {
 	}
 }
 
-// pollWatchedWorker is newWorker with one slot, plus a flag set on the
-// first job-status poll it serves. A coordinator polls only once its
-// submission has returned, so from then on it can cancel the worker's
-// copy of the job by ID.
-func pollWatchedWorker(t *testing.T) (*Server, string, *atomic.Bool) {
+// waitWatchedWorker is newWorker with one slot, plus a flag set on the
+// first job-status request it serves. A coordinator waits on a job only
+// once its submission has returned, so from then on it can cancel the
+// worker's copy of the job by ID.
+func waitWatchedWorker(t *testing.T) (*Server, string, *atomic.Bool) {
 	t.Helper()
 	s := mustNew(t, Config{Workers: 1})
-	polled := new(atomic.Bool)
+	waited := new(atomic.Bool)
 	h := s.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
-			polled.Store(true)
+			waited.Store(true)
 		}
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() { ts.Close(); s.Close() })
-	return s, ts.URL, polled
+	return s, ts.URL, waited
 }
 
 // TestHedgeCanceled: cancelling a hedged job reaches both attempts, since
 // both run under the job's own context. Each worker cancels its copy
 // instead of finishing it, and the coordinator frees both slots.
 func TestHedgeCanceled(t *testing.T) {
-	w1, u1, polled1 := pollWatchedWorker(t)
-	w2, u2, polled2 := pollWatchedWorker(t)
+	w1, u1, waited1 := waitWatchedWorker(t)
+	w2, u2, waited2 := waitWatchedWorker(t)
 	cfg := coordCfg(u1, u2)
 	cfg.HedgeDelay = time.Millisecond
 	coord := mustNew(t, cfg)
@@ -172,7 +171,7 @@ func TestHedgeCanceled(t *testing.T) {
 	// Cancel once the coordinator is waiting on both the primary and the
 	// hedge.
 	deadline := time.Now().Add(30 * time.Second)
-	for !polled1.Load() || !polled2.Load() {
+	for !waited1.Load() || !waited2.Load() {
 		if time.Now().After(deadline) {
 			t.Fatalf("hedge never started on both workers: %+v", coord.Stats())
 		}

@@ -15,7 +15,8 @@ import (
 //	                             200 (cache hit), 400 on a bad spec, 429 +
 //	                             Retry-After when the queue is full, 503
 //	                             while draining
-//	GET    /v1/jobs/{id}         job status; Result inline once done
+//	GET    /v1/jobs/{id}         job status; Result inline once done;
+//	                             ?wait=1 answers once the job is terminal
 //	DELETE /v1/jobs/{id}         cancel; idempotent on finished jobs
 //	GET    /v1/jobs/{id}/metrics NDJSON interval-telemetry stream: full
 //	                             replay, then live rows until the run ends
@@ -159,7 +160,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Status(r.PathValue("id"))
+	wait := r.URL.RawQuery != "" && r.URL.Query().Get("wait") == "1"
+	st, err := s.status(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

@@ -409,7 +409,7 @@ func TestObeyingClientEventuallyAdmitted(t *testing.T) {
 	// draining (2 workers chewing through it), so admission must come.
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	c := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 	st, err := c.SubmitWait(ctx, medium(seed))
 	if err != nil {
 		t.Fatalf("obeying client was never admitted: %v", err)

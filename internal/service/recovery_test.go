@@ -93,6 +93,13 @@ func TestRecoveryRestoresDoneJobs(t *testing.T) {
 // runs the jobs to completion. The journal also holds a "started"
 // record, which older builds appended on every dispatch: such journals
 // must still replay.
+//
+// One execution outlives the job that created it. Job 5 is deduplicated
+// onto job 3's priority-9 execution, job 3 is then cancelled, and enough
+// jobs come and go after it that the finished-job retention evicts it.
+// Replay must requeue the execution at job 3's priority and sequence,
+// ahead of job 4's later priority-9 execution, and so must a second
+// restart, which reads the journal the first one compacted without job 3.
 func TestRecoveryRequeuesIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -125,32 +132,127 @@ func TestRecoveryRequeuesIncomplete(t *testing.T) {
 	}
 	j.Close()
 
+	// Jobs 4 and 5, the cancel and the filler jobs go through a live
+	// server that cannot dispatch (a coordinator with no backends), so the
+	// journal holds what Submit and Cancel write. It is then abandoned as
+	// by a crash: its journal is copied before Close, whose drain would
+	// journal the cancellation of the queued executions.
+	s0 := mustNew(t, Config{Workers: -1, Coordinator: true, WALDir: walDir, WALSync: "none"})
+	if got := s0.Stats().WALRequeued; got != 3 {
+		t.Fatalf("WALRequeued = %d, want 3", got)
+	}
+	spec4 := smallSpec(40)
+	spec4.Priority = 9
+	fps[4] = mustJob(t, spec4).Fingerprint()
+	if st, err := s0.Submit(spec4); err != nil || st.ID != jobID(4) {
+		t.Fatalf("Submit of job 4 = %+v, %v", st, err)
+	}
+	st5, err := s0.Submit(specs[3]) // priority 0: the execution's 9 must count
+	if err != nil || st5.ID != jobID(5) || s0.Stats().JobsDeduped != 1 {
+		t.Fatalf("Submit of job 3's twin = %+v, %v; want %s deduplicated", st5, err, jobID(5))
+	}
+	if _, err := s0.Cancel(jobID(3)); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	// Five jobs plus these exceed the retention by one: job 3, the oldest
+	// finished job, is evicted.
+	for i := 0; i < finishedJobRetention-4; i++ {
+		st, err := s0.Submit(smallSpec(int64(1000 + i)))
+		if err != nil {
+			t.Fatalf("filler Submit: %v", err)
+		}
+		if _, err := s0.Cancel(st.ID); err != nil {
+			t.Fatalf("filler Cancel: %v", err)
+		}
+	}
+	if _, err := s0.Status(jobID(3)); err == nil {
+		t.Fatal("job 3 was not evicted by the finished-job retention")
+	}
+	crash1, crash2 := filepath.Join(dir, "crash1"), filepath.Join(dir, "crash2")
+	copyDir(t, walDir, crash1)
+	s0.Close()
+
+	// A single worker dispatches strictly in priority order, then in
+	// admission order: 9 (job 3's), 9 (job 4's), 5, 0.
+	want := []string{shortFP(fps[3]), shortFP(fps[4]), shortFP(fps[1]), shortFP(fps[2])}
+	wantFP := map[uint64]string{1: fps[1], 2: fps[2], 4: fps[4], 5: fps[3]}
+	if got := replayOrder(t, crash1, crash2, wantFP); !reflect.DeepEqual(got, want) {
+		t.Errorf("restart 1: dispatch order %v, want %v (priority then seq)", got, want)
+	}
+	if got := replayOrder(t, crash2, "", wantFP); !reflect.DeepEqual(got, want) {
+		t.Errorf("restart 2: dispatch order %v, want %v (priority then seq)", got, want)
+	}
+}
+
+// replayOrder restarts a one-worker server on walDir, runs the jobs
+// replay requeued to completion, and returns their fingerprints (short
+// form) in dispatch order. Each job of wantFP must end done with that
+// fingerprint. While the first run is held, before any run completes, it
+// copies the journal to crashDir (unless empty): the state a crash right
+// after replay leaves.
+func replayOrder(t *testing.T, walDir, crashDir string, wantFP map[uint64]string) []string {
+	t.Helper()
 	var mu sync.Mutex
-	var dispatched []string
+	var order []string
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	var first sync.Once
 	s := mustNew(t, Config{Workers: 1, WALDir: walDir, Logf: func(format string, args ...any) {
 		if strings.HasPrefix(format, "job run ") {
 			mu.Lock()
-			dispatched = append(dispatched, args[2].(string)) // shortFP
+			order = append(order, args[2].(string)) // shortFP
 			mu.Unlock()
+			first.Do(func() { <-hold })
 		}
 	}})
 	defer s.Close()
-	if got := s.Stats().WALRequeued; got != 3 {
-		t.Fatalf("WALRequeued = %d, want 3", got)
+	defer release()
+	if got := s.Stats().WALRequeued; got != uint64(len(wantFP)) {
+		t.Fatalf("WALRequeued = %d, want %d", got, len(wantFP))
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		st := waitState(t, s, jobID(seq), StateDone)
-		if st.Fingerprint != fps[seq] {
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(order)
+		mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no replayed job was dispatched")
+		}
+	}
+	if crashDir != "" {
+		copyDir(t, walDir, crashDir)
+	}
+	release()
+	for seq, fp := range wantFP {
+		if st := waitState(t, s, jobID(seq), StateDone); st.Fingerprint != fp {
 			t.Errorf("job %s fingerprint changed across recovery", jobID(seq))
 		}
 	}
-	// A single worker dispatches strictly in priority order: 9, 5, 0.
-	wantOrder := []string{shortFP(fps[3]), shortFP(fps[1]), shortFP(fps[2])}
 	mu.Lock()
-	got := append([]string(nil), dispatched...)
-	mu.Unlock()
-	if !reflect.DeepEqual(got, wantOrder) {
-		t.Errorf("dispatch order %v, want %v (priority then seq)", got, wantOrder)
+	defer mu.Unlock()
+	return append([]string(nil), order...)
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

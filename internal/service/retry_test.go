@@ -11,25 +11,20 @@ import (
 	"time"
 )
 
-// TestRetrySchedule pins the transport-retry backoff: base, doubling,
-// capped.
+// TestRetrySchedule pins the transport-retry backoff: 50 ms, doubling,
+// capped at 1 s.
 func TestRetrySchedule(t *testing.T) {
-	base, limit := 10*time.Millisecond, 80*time.Millisecond
 	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond,
+		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+		400 * time.Millisecond, 800 * time.Millisecond, time.Second, time.Second,
 	}
 	for i, w := range want {
-		if got := retrySchedule(i+1, base, limit); got != w {
+		if got := retrySchedule(i + 1); got != w {
 			t.Errorf("retrySchedule(%d) = %s, want %s", i+1, got, w)
 		}
 	}
-	// Defaults kick in for zero inputs.
-	if got := retrySchedule(1, 0, 0); got != 50*time.Millisecond {
-		t.Errorf("retrySchedule(1, 0, 0) = %s, want 50ms", got)
-	}
-	if got := retrySchedule(20, 0, 0); got != time.Second {
-		t.Errorf("retrySchedule(20, 0, 0) = %s, want the 1s cap", got)
+	if got := retrySchedule(200); got != time.Second {
+		t.Errorf("retrySchedule(200) = %s, want the 1s cap", got)
 	}
 }
 
@@ -63,10 +58,10 @@ func TestClientRetriesTransientTransport(t *testing.T) {
 	ts, calls := resettingServer(t, 2, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, JobStatus{ID: "j-000001", State: StateDone})
 	}))
-	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
-	st, err := c.Status(context.Background(), "j-000001")
+	c := &Client{BaseURL: ts.URL}
+	st, err := c.Wait(context.Background(), "j-000001")
 	if err != nil {
-		t.Fatalf("Status with transient resets: %v", err)
+		t.Fatalf("Wait with transient resets: %v", err)
 	}
 	if st.State != StateDone {
 		t.Errorf("state = %q, want done", st.State)
@@ -81,7 +76,7 @@ func TestClientRetriesTransientTransport(t *testing.T) {
 	ts2, calls2 := resettingServer(t, 1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, JobStatus{ID: "j-000002", State: StateQueued})
 	}))
-	c2 := &Client{BaseURL: ts2.URL, PollInterval: time.Millisecond}
+	c2 := &Client{BaseURL: ts2.URL}
 	if _, err := c2.Submit(context.Background(), smallSpec(1)); err != nil {
 		t.Fatalf("Submit with one reset: %v", err)
 	}
@@ -95,9 +90,9 @@ func TestClientRetriesTransientTransport(t *testing.T) {
 // failover is the retry mechanism.
 func TestClientTransportRetriesDisabled(t *testing.T) {
 	ts, calls := resettingServer(t, 100, nil)
-	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond, MaxTransportRetries: -1}
-	if _, err := c.Status(context.Background(), "j-000001"); err == nil {
-		t.Fatal("Status succeeded through a permanently resetting server")
+	c := &Client{BaseURL: ts.URL, MaxTransportRetries: -1}
+	if _, err := c.Wait(context.Background(), "j-000001"); err == nil {
+		t.Fatal("Wait succeeded through a permanently resetting server")
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("server saw %d requests, want exactly 1 with retries disabled", got)
@@ -114,7 +109,7 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 		writeError(w, http.StatusBadRequest, errors.New("bad spec"))
 	}))
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 	_, err := c.Submit(context.Background(), smallSpec(1))
 	var re *remoteError
 	if !errors.As(err, &re) || re.StatusCode != http.StatusBadRequest {
@@ -129,13 +124,13 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 // loop instead of burning the whole budget.
 func TestClientRetryRespectsContext(t *testing.T) {
 	ts, _ := resettingServer(t, 1000, nil)
-	c := &Client{BaseURL: ts.URL, PollInterval: 50 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Status(ctx, "j-000001")
+	_, err := c.Wait(ctx, "j-000001")
 	if err == nil {
-		t.Fatal("Status succeeded unexpectedly")
+		t.Fatal("Wait succeeded unexpectedly")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("retry loop ignored the context for %s", elapsed)

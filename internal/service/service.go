@@ -88,9 +88,6 @@ type Config struct {
 	// backend is re-queued and retried on another one (default 3).
 	// Beyond it the job fails with the last backend error.
 	DispatchRetries int
-	// RemotePoll paces the status polls of jobs dispatched to remote
-	// backends (default 20ms).
-	RemotePoll time.Duration
 
 	// SojournTarget enables CoDel-style queue aging: when the oldest
 	// queued job's sojourn stays above this target for a full target
@@ -111,10 +108,6 @@ type Config struct {
 	// opens it too; a passing probe or a registration heartbeat makes it
 	// half-open, and the one job it then takes closes or re-opens it.
 	BreakerFailures int
-	// BreakerLatency, when set, counts a successful dispatch slower than
-	// this as a breaker failure: a backend that answers, but too late to
-	// be useful, is quarantined like one that does not answer.
-	BreakerLatency time.Duration
 
 	// HedgeDelay enables hedged dispatch on a coordinator: an execution
 	// still running on one backend this long after dispatch is
@@ -163,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DispatchRetries <= 0 {
 		c.DispatchRetries = 3
-	}
-	if c.RemotePoll <= 0 {
-		c.RemotePoll = 20 * time.Millisecond
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 64
@@ -221,7 +211,6 @@ type execution struct {
 	live     int // attached jobs not individually cancelled
 	attempts int // failed dispatches so far (federation failover)
 	running  int // attempts currently in flight (>1 only while hedged)
-	lastErr  error
 	ctx      context.Context
 	cancel   context.CancelFunc
 	hub      *metricsHub
@@ -243,6 +232,15 @@ type job struct {
 	canceled bool
 	result   flexsnoop.Result // cached result (exec == nil only)
 	err      error            // failure recovered from the journal (exec == nil only)
+	// cancelWake is closed when Cancel ends this job alone, waking a
+	// waiting status call while a deduplicated twin keeps the execution
+	// running. The first waiter makes it; a job nobody waits on has none.
+	cancelWake chan struct{}
+}
+
+// terminal reports whether a job in this state will never change again.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
 // JobStatus is the API's view of one job.
@@ -439,8 +437,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 
 	// Content-addressed cache: a completed identical run answers
 	// immediately, without a queue slot. Journaled with the spec so a
-	// post-crash poll of this job ID can still be answered (from the disk
-	// cache, or by re-running if the cached result did not survive).
+	// post-crash status request for this job ID can still be answered
+	// (from the disk cache, or by re-running if the cached result did
+	// not survive).
 	if res, ok := s.cache.Get(fp); ok {
 		if err := s.walSubmitLocked(spec, fp); err != nil {
 			return JobStatus{}, err
@@ -455,10 +454,12 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	// In-flight dedup (singleflight): identical concurrent submissions
 	// share one execution and therefore one simulation.
 	if ex, ok := s.execs[fp]; ok {
-		// The journal entry precedes the acknowledgment; the record
-		// carries no spec (the execution's first record has it).
+		// The journal entry precedes the acknowledgment. The record
+		// carries no spec (the execution's first record has it), only the
+		// execution's priority and sequence, which outlive its first job.
 		if err := s.walAppendLocked(journal.Record{
 			Kind: journal.KindSubmitted, JobID: s.nextJobID(), Seq: s.seq + 1, Fingerprint: fp,
+			Priority: ex.priority, ExecSeq: ex.seq,
 		}); err != nil {
 			return JobStatus{}, err
 		}
@@ -547,12 +548,35 @@ func (s *Server) newJobLocked(fp string, ex *execution) *job {
 
 // Status reports one job.
 func (s *Server) Status(id string) (JobStatus, error) {
+	return s.status(context.Background(), id, false)
+}
+
+// status reports one job. With wait, a job that is not terminal yet is
+// reported once it is (its execution is finalised, or Cancel ends the
+// job alone) or once ctx ends, whichever comes first. Drain finalises
+// every execution, so it releases every waiter.
+func (s *Server) status(ctx context.Context, id string, wait bool) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
+	if st := j.statusLocked(); !wait || terminal(st.State) {
+		return st, nil
+	}
+	// Not terminal, so the job has an execution.
+	if j.cancelWake == nil {
+		j.cancelWake = make(chan struct{})
+	}
+	done, canceled := j.exec.done, j.cancelWake
+	s.mu.Unlock()
+	select {
+	case <-done:
+	case <-canceled:
+	case <-ctx.Done():
+	}
+	s.mu.Lock()
 	return j.statusLocked(), nil
 }
 
@@ -567,7 +591,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	st := j.statusLocked()
-	if st.State == StateDone || st.State == StateFailed || st.State == StateCanceled {
+	if terminal(st.State) {
 		return st, nil
 	}
 	// Journal the cancellation before acknowledging it: a cancel the
@@ -576,6 +600,9 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	j.canceled = true
+	if j.cancelWake != nil {
+		close(j.cancelWake)
+	}
 	ex := j.exec
 	ex.live--
 	if ex.live == 0 {
@@ -701,11 +728,10 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 	defer s.wg.Done()
 	s.logf("job run %s on %s (%s)", ex.label, b.name, shortFP(ex.fp))
 
-	started := time.Now()
 	var res flexsnoop.Result
 	var err error
 	switch {
-	case !ex.deadline.IsZero() && !started.Before(ex.deadline):
+	case !ex.deadline.IsZero() && !time.Now().Before(ex.deadline):
 		// Last line of defence for "a worker never starts an expired job":
 		// the budget ran out between dispatch and here.
 		err = fmt.Errorf("%w: expired before starting on %s", ErrExpired, b.name)
@@ -714,7 +740,6 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 	default:
 		res, err = s.runRemote(b, ex)
 	}
-	latency := time.Since(started)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -726,12 +751,12 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 	// Feed the breaker before anything decides on failover: eligibility for
 	// the retry below must see this attempt's outcome. An attempt that
 	// never started expired, which says nothing about the backend.
-	s.backendObserveLocked(b, err, latency)
+	s.backendObserveLocked(b, err)
 	defer s.cond.Broadcast() // a slot freed (or a requeue): wake the dispatcher
 
 	// Another attempt already settled the execution: this one is only a
 	// cross-check. Deterministic simulations make the comparison exact.
-	if ex.state == StateDone || ex.state == StateFailed || ex.state == StateCanceled {
+	if terminal(ex.state) {
 		if err == nil && ex.state == StateDone {
 			b.completed++
 			if !reflect.DeepEqual(res, ex.result) {
@@ -766,7 +791,6 @@ func (s *Server) runOn(b *backend, ex *execution, hedge bool) {
 		b.failovers++
 		s.stats.Failovers++
 		ex.attempts++
-		ex.lastErr = err
 		// Retry on another backend — unless the retries are spent, or no
 		// available backend is left to retry on (failing fast beats parking
 		// the job until an operator notices the whole fleet is down).

@@ -78,7 +78,7 @@ func TestSubmitMatchesInProcess(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	got, err := c.Run(context.Background(), spec)
 	if err != nil {
@@ -547,7 +547,7 @@ func TestConcurrentMatrix(t *testing.T) {
 
 	s := mustNew(t, Config{Workers: 4, QueueCapacity: 8})
 	ts := httptest.NewServer(s.Handler())
-	c := &Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL}
 
 	const clients = 64
 	errs := make([]error, clients)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,12 +75,10 @@ func (s *Server) walSubmitLocked(spec JobSpec, fp string) error {
 	})
 }
 
-// replayJob is one job reconstructed from the journal scan.
+// replayJob is one job reconstructed from the journal scan: its
+// submitted record, and whether a cancelled record followed.
 type replayJob struct {
-	id        string
-	seq       uint64
-	fp        string
-	priority  int
+	journal.Record
 	cancelled bool
 }
 
@@ -112,7 +111,7 @@ func (s *Server) replayLocked(records []journal.Record) error {
 			if rec.JobID == "" || byID[rec.JobID] != nil {
 				continue // malformed, or a compaction-window duplicate
 			}
-			rj := &replayJob{id: rec.JobID, seq: rec.Seq, fp: rec.Fingerprint, priority: rec.Priority}
+			rj := &replayJob{Record: *rec}
 			byID[rec.JobID] = rj
 			jobs = append(jobs, rj)
 			if len(rec.Spec) > 0 {
@@ -135,11 +134,11 @@ func (s *Server) replayLocked(records []journal.Record) error {
 	// fingerprint re-collapse onto one execution, exactly as their
 	// original submissions were deduped.
 	for _, rj := range jobs {
-		j := &job{id: rj.id, seq: rj.seq, fp: rj.fp}
+		j := &job{id: rj.JobID, seq: rj.Seq, fp: rj.Fingerprint}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		s.stats.WALReplayed++
-		msg, done := doneByFP[rj.fp]
+		msg, done := doneByFP[rj.Fingerprint]
 		switch {
 		case rj.cancelled:
 			j.canceled = true
@@ -148,7 +147,7 @@ func (s *Server) replayLocked(records []journal.Record) error {
 			// reproduce it, so restore the terminal state directly.
 			j.err = errors.New(msg)
 		case done:
-			if res, ok := s.cache.Get(rj.fp); ok {
+			if res, ok := s.cache.Get(rj.Fingerprint); ok {
 				j.cached = true
 				j.result = res
 				continue
@@ -158,7 +157,7 @@ func (s *Server) replayLocked(records []journal.Record) error {
 			// exactly equivalent — fall through to requeue.
 			fallthrough
 		default:
-			ex, err := s.requeueReplayedLocked(rj, specByFP[rj.fp])
+			ex, err := s.requeueReplayedLocked(rj, specByFP[rj.Fingerprint])
 			if err != nil {
 				j.err = err
 				continue
@@ -184,13 +183,15 @@ func (s *Server) replayLocked(records []journal.Record) error {
 
 	// Rewrite the journal as exactly the restored state: one submitted
 	// record per surviving job plus its terminal record. This bounds
-	// journal growth and removes the compaction-window duplicates.
+	// journal growth and removes the compaction-window duplicates. Each
+	// record keeps its execution's priority and sequence, which thereby
+	// outlive the job that created the execution.
 	var live []journal.Record
 	for _, id := range s.order {
-		j := s.jobs[id]
+		j, rj := s.jobs[id], byID[id]
 		live = append(live, journal.Record{
-			Kind: journal.KindSubmitted, JobID: j.id, Seq: j.seq,
-			Fingerprint: j.fp, Priority: byID[j.id].priority, Spec: specByFP[j.fp],
+			Kind: journal.KindSubmitted, JobID: j.id, Seq: j.seq, Fingerprint: j.fp,
+			Priority: rj.Priority, ExecSeq: rj.ExecSeq, Spec: specByFP[j.fp],
 		})
 		switch {
 		case j.canceled:
@@ -208,12 +209,12 @@ func (s *Server) replayLocked(records []journal.Record) error {
 
 // requeueReplayedLocked returns the execution an incomplete replayed job
 // joins: the one already requeued for its fingerprint, or a new one built
-// from the journaled spec with the job's original priority and sequence.
-// The original admission time did not survive the crash, so the deadline
-// window restarts at replay: generous to the job, and strictly better
-// than resurrecting it pre-expired.
+// from the journaled spec at the priority and sequence the job's record
+// gives its execution. The original admission time did not survive the
+// crash, so the deadline window restarts at replay: generous to the job,
+// and strictly better than resurrecting it pre-expired.
 func (s *Server) requeueReplayedLocked(rj *replayJob, raw json.RawMessage) (*execution, error) {
-	if ex, ok := s.execs[rj.fp]; ok {
+	if ex, ok := s.execs[rj.Fingerprint]; ok {
 		return ex, nil
 	}
 	if len(raw) == 0 {
@@ -227,7 +228,8 @@ func (s *Server) requeueReplayedLocked(rj *replayJob, raw json.RawMessage) (*exe
 	if err != nil {
 		return nil, fmt.Errorf("service: recovered spec invalid: %w", err)
 	}
-	return s.enqueueLocked(spec, fj, rj.fp, rj.priority, rj.seq, spec.deadlineFrom(time.Now())), nil
+	return s.enqueueLocked(spec, fj, rj.Fingerprint, rj.Priority, cmp.Or(rj.ExecSeq, rj.Seq),
+		spec.deadlineFrom(time.Now())), nil
 }
 
 // evictFinishedLocked applies finishedJobRetention, oldest-first — the
@@ -240,7 +242,7 @@ func (s *Server) evictFinishedLocked() {
 			if !ok {
 				continue
 			}
-			if st := old.statusLocked().State; st == StateDone || st == StateFailed || st == StateCanceled {
+			if terminal(old.statusLocked().State) {
 				delete(s.jobs, id)
 				s.order = append(s.order[:i], s.order[i+1:]...) // shifts in place, allocating nothing
 				evicted = true

@@ -189,10 +189,8 @@ type Kernel struct {
 	// engine uses to flush per-ring transmit batches. It may schedule
 	// events at the current cycle or later; events it adds at the
 	// current cycle are drained (and EndCycle re-fires) before the clock
-	// advances. Run also fires it when the queue drains, so deferred
-	// work buffered by single-stepped events is not lost; the hook must
-	// therefore tolerate back-to-back calls at the same cycle. Step does
-	// not invoke it.
+	// advances, so the hook must tolerate back-to-back calls at the same
+	// cycle.
 	EndCycle func(now Time)
 }
 
@@ -674,62 +672,6 @@ func (k *Kernel) runCycle() (cont, any bool) {
 	}
 }
 
-// popMinNow unlinks and returns the lowest-seq live event at the current
-// cycle. The caller guarantees one exists.
-func (k *Kernel) popMinNow() *Event {
-	i := int(k.now) & nearMask
-	var best, bestPrev *Event
-	var prev *Event
-	for e := k.near[i].head; e != nil; e = e.next {
-		if e.state == evScheduled && e.when == k.now && (best == nil || e.seq < best.seq) {
-			best, bestPrev = e, prev
-		}
-		prev = e
-	}
-	if best == nil {
-		panic("sim: popMinNow on empty cycle")
-	}
-	if bestPrev == nil {
-		k.near[i].head = best.next
-	} else {
-		bestPrev.next = best.next
-	}
-	if k.near[i].tail == best {
-		k.near[i].tail = bestPrev
-	}
-	if k.near[i].head == nil {
-		k.nearOcc[i>>6] &^= 1 << (uint(i) & 63)
-	}
-	k.nearCnt[i]--
-	k.nearLive--
-	return best
-}
-
-// Step executes the single next event, if any, and reports whether one
-// ran. Step does not fire the EndCycle hook: single-stepping interleaves
-// events within a cycle, so there is no batch boundary to flush at.
-func (k *Kernel) Step() bool {
-	t, ok := k.peek()
-	if !ok {
-		return false
-	}
-	k.now = t
-	e := k.popMinNow()
-	fn, argFn, arg := e.fn, e.argFn, e.arg
-	k.live--
-	k.recycleFired(e)
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		fn()
-	}
-	k.Executed++
-	if k.Probe != nil {
-		k.Probe(k.now)
-	}
-	return true
-}
-
 // Run executes events until the queue drains, Stop is called, the
 // simulated clock passes limit, or the Interrupt hook reports an error. It
 // returns the time of the last executed event. Each cycle's events run as
@@ -739,13 +681,6 @@ func (k *Kernel) Run(limit Time) Time {
 	k.sinceCheck = 0
 	for {
 		t, ok := k.peek()
-		if !ok && k.EndCycle != nil {
-			// The queue drained, but the EndCycle hook may hold deferred
-			// work (e.g. transmits buffered by single-stepped events).
-			// Give it one chance to schedule before concluding.
-			k.EndCycle(k.now)
-			t, ok = k.peek()
-		}
 		if !ok || t > limit {
 			break
 		}

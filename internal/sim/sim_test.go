@@ -122,7 +122,7 @@ func TestEventStorageIsRecycled(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 10_000; i++ {
 		k.Schedule(k.Now(), func() {})
-		k.Step()
+		k.RunAll()
 	}
 	if free := k.FreeEvents(); free > 2*eventSlabSize {
 		t.Errorf("free list grew to %d events; recycling is not steady-state", free)

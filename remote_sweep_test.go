@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"flexsnoop"
 	"flexsnoop/internal/service"
@@ -35,7 +34,7 @@ func TestSensitivityRemoteRunner(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := &service.Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond}
+	c := &service.Client{BaseURL: ts.URL}
 
 	remoteOpts := opts
 	remoteOpts.Runner = func(ctx context.Context, alg flexsnoop.Algorithm, workload string, o flexsnoop.Options) (flexsnoop.Result, error) {
