@@ -156,7 +156,10 @@ type Options struct {
 	// Predictor overrides the algorithm's default (Section 6.1)
 	// supplier predictor.
 	Predictor *PredictorConfig
-	// CheckInvariants arms the coherence checker during the run.
+	// CheckInvariants arms the coherence checker during the run: it runs
+	// at the first cycle end after every 64 retired transactions, and a
+	// violation fails the run with an error naming the cycle and the
+	// line. It shares one end-of-cycle hook with CheckEvery.
 	CheckInvariants bool
 	// DisablePrefetch turns off the prefetch-on-snoop heuristic.
 	DisablePrefetch bool
@@ -187,9 +190,11 @@ type Options struct {
 	// cycle-identical to a build without the fault layer.
 	Faults *FaultPlan
 	// CheckEvery, when positive, runs the full coherence invariant
-	// checker every CheckEvery cycles and fails the run at the first
-	// violation (continuous mode; CheckInvariants remains the cheaper
-	// per-transition spot check).
+	// checker at the first cycle end at or after every CheckEvery-cycle
+	// mark, on the same hook as CheckInvariants: a violation fails the
+	// run at the cycle it is found instead of at the end-of-run check.
+	// When both cadences are due at one cycle end, the checker runs
+	// once.
 	CheckEvery uint64
 	// WatchdogWindow, when positive, arms the no-forward-progress
 	// watchdog with the given window in cycles. Zero picks an automatic

@@ -55,8 +55,9 @@ echo "== journal fuzz =="
 go test -run '^$' -fuzz '^FuzzJournalOpen$' -fuzztime 10s ./internal/journal
 
 echo "== fault-matrix smoke =="
-# Three documented fault plans x two algorithms, each with the continuous
-# invariant checker armed: every run must complete with zero violations.
+# Three documented fault plans x two algorithms, each with the in-run
+# invariant checker armed at both cadences (every 64 retires, -check,
+# and every 5000 cycles): every run must complete with zero violations.
 for plan in \
     "kind=drop,rate=0.05,seed=1" \
     "kind=delay,rate=0.1,delay=120,seed=2" \
@@ -64,7 +65,7 @@ for plan in \
     for alg in Lazy SupersetAgg; do
         echo "  $alg faults=\"$plan\""
         go run ./cmd/ringsim -alg "$alg" -workload fft -ops 300 \
-            -faults "$plan" -checkevery 5000 -json > /dev/null
+            -faults "$plan" -check -checkevery 5000 -json > /dev/null
     done
 done
 

@@ -14,6 +14,7 @@ import (
 
 	"flexsnoop/internal/cache"
 	"flexsnoop/internal/protocol"
+	"flexsnoop/internal/sim"
 )
 
 // copyInfo locates one cached copy.
@@ -23,23 +24,58 @@ type copyInfo struct {
 }
 
 // Checker runs the invariants against one engine. It keeps its gather
-// slice between calls: a run checks its engine repeatedly (every N
-// completions, every N cycles, and once drained), and regrowing the
-// slice each sweep was a measurable share of simulation allocations. A
-// Checker is not safe for concurrent use; each run owns its own, so
-// concurrent runs never contend.
+// slice between calls: a run checks its engine repeatedly (during the
+// run, see Arm, and once drained), and regrowing the slice each sweep was
+// a measurable share of simulation allocations. A Checker is not safe for
+// concurrent use; each run owns its own, so concurrent runs never
+// contend.
 type Checker struct {
-	e   *protocol.Engine
-	all []copyInfo
+	e    *protocol.Engine
+	all  []copyInfo
+	mark uint64   // Arm: multiples of the retire cadence passed so far
+	next sim.Time // Arm: the next cycle mark
 }
 
 // New returns a checker for an engine.
 func New(e *protocol.Engine) *Checker { return &Checker{e: e} }
 
+// Arm is the one in-run check. Chained onto the kernel's EndCycle hook
+// after the engine's transmit flush, it runs Check at the first cycle end
+// at or after each mark of either cadence: each multiple of `retires`
+// that Engine.Retires passes, and every `cycles` cycles from arming (zero
+// turns a cadence off). It only reads, so it moves no event. A violation
+// fails the run through Engine.Fail, which stops the kernel at that cycle.
+// A Checker is armed at most once.
+func (c *Checker) Arm(kern *sim.Kernel, retires uint64, cycles sim.Time) {
+	if retires == 0 && cycles == 0 {
+		return
+	}
+	c.mark, c.next = c.e.Retires()/max(retires, 1), kern.Now()+cycles
+	prev := kern.EndCycle
+	kern.EndCycle = func(now sim.Time) {
+		if prev != nil {
+			prev(now)
+		}
+		due := false
+		if retires > 0 && c.e.Retires()/retires > c.mark {
+			due, c.mark = true, c.e.Retires()/retires
+		}
+		if cycles > 0 && now >= c.next {
+			due, c.next = true, now+cycles
+		}
+		if !due {
+			return
+		}
+		if err := c.Check(); err != nil {
+			c.e.Fail(fmt.Errorf("checker: check at cycle %d: %w", now, err))
+		}
+	}
+}
+
 // Check runs every invariant against the engine, returning the first
-// violation found. The continuous checker runs this on the simulation hot
-// path, so copies are gathered into one flat slice and grouped by sorting
-// — no map of per-line slices — which also makes the reported violation
+// violation found. Arm runs this on the simulation hot path, so copies
+// are gathered into one flat slice and grouped by sorting — no map of
+// per-line slices — which also makes the reported violation
 // deterministic (lowest address wins) where map iteration order would
 // have been random.
 func (c *Checker) Check() error {

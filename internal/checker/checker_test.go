@@ -1,6 +1,7 @@
 package checker_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,6 +140,58 @@ func TestDetectsIncompatibleStates(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestArmFailsRunAtViolation: the in-run hook catches a violation that
+// appears mid-run. An event corrupts a cached line just as a load of
+// another line goes out. Each cadence must stop the kernel at its first
+// due cycle end after that, with a failure naming the line and the
+// cycle, and leave later work unrun.
+func TestArmFailsRunAtViolation(t *testing.T) {
+	cases := []struct {
+		name    string
+		retires uint64
+		cycles  sim.Time
+		// retired is how many transactions retire before the check is
+		// due: the load's retire, or none when the cycle mark falls
+		// while the load is in flight (it takes about 1,100 cycles).
+		retired uint64
+	}{
+		{"every retire", 1, 0, 1},
+		{"every 500 cycles", 0, 500, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			kern, e := taggedMachine(t)
+			armed, retires := kern.Now(), e.Retires()
+			checker.New(e).Arm(kern, tc.retires, tc.cycles)
+			at := armed + 10
+			kern.Schedule(at, func() {
+				e.CorruptLineState(3, 1, 0x80, cache.SharedGlobal)
+				e.Access(5, 0, protocol.Load, 0x300, nil)
+			})
+			later := at + 20000
+			kern.Schedule(later, func() { e.Access(6, 0, protocol.Load, 0x340, nil) })
+			kern.RunAll()
+
+			err := e.Failure()
+			if err == nil {
+				t.Fatal("corrupted line passed the in-run check")
+			}
+			for _, want := range []string{fmt.Sprintf("check at cycle %d:", kern.Now()), "line 0x80", "incompatible states"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("failure %q does not name %q", err, want)
+				}
+			}
+			if got := e.Retires() - retires; got != tc.retired {
+				t.Errorf("%d transactions retired before the check failed the run, want %d", got, tc.retired)
+			}
+			if now := kern.Now(); now <= at || now < armed+tc.cycles || now >= later {
+				t.Errorf("kernel stopped at cycle %d, want after the corruption at %d, the cycle mark at %d and before the load at %d",
+					now, at, armed+tc.cycles, later)
+			}
+		})
 	}
 }
 

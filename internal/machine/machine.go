@@ -58,7 +58,8 @@ type Experiment struct {
 	// global core i (trace-driven mode, as the paper's SPEC runs).
 	Traces [][]workload.Op
 
-	// CheckInvariants arms the coherence checker (every 64 completions).
+	// CheckInvariants arms the coherence checker every 64 retired
+	// transactions, on CheckEveryCycles' hook (checker.Checker.Arm).
 	CheckInvariants bool
 
 	// Governor enables the dynamic adaptive system; only meaningful with
@@ -92,8 +93,8 @@ type Experiment struct {
 	Faults *fault.Plan
 
 	// CheckEveryCycles runs the full coherence invariant checker every N
-	// cycles during the run, failing at the violating cycle instead of at
-	// end of run. Zero disables the continuous mode.
+	// cycles during the run; a violation of either cadence fails the run
+	// at the cycle it is found instead of at end of run. Zero disables it.
 	CheckEveryCycles sim.Time
 
 	// WatchdogWindow overrides the no-forward-progress window (cycles).
@@ -188,12 +189,9 @@ func Run(exp Experiment) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// One checker serves the run's every-64 checks, its continuous checks
-	// and the drained check, so its gather slice is grown once per run.
+	// One checker serves the run's in-run checks and its drained check,
+	// so its gather slice is grown once per run.
 	chk := checker.New(eng)
-	if exp.CheckInvariants {
-		eng.SetInvariantChecker(64, chk.Check)
-	}
 
 	var col *telemetry.Collector
 	if exp.Telemetry.Enabled() {
@@ -207,11 +205,13 @@ func Run(exp Experiment) (Result, error) {
 		})
 	}
 
-	// The robustness layer chains onto the engine's EndCycle hook; both
-	// pieces only inspect, so arming them moves no events.
-	if exp.CheckEveryCycles > 0 {
-		installContinuousChecker(kern, eng, chk, exp.CheckEveryCycles)
+	// The checker, then the watchdog, chain onto the engine's EndCycle
+	// hook; both only inspect, so arming them moves no events.
+	var checkRetires uint64
+	if exp.CheckInvariants {
+		checkRetires = 64
 	}
+	chk.Arm(kern, checkRetires, exp.CheckEveryCycles)
 	if eng.FaultsEnabled() || exp.WatchdogWindow > 0 {
 		installWatchdog(kern, eng, col, exp.WatchdogWindow, exp.WatchdogDegrade)
 	}
@@ -271,8 +271,8 @@ func Run(exp Experiment) (Result, error) {
 		return Result{}, fmt.Errorf("machine: run cancelled: %w", cerr)
 	}
 	if ferr := eng.Failure(); ferr != nil {
-		// Watchdog verdict, continuous-check violation or retransmit
-		// exhaustion: flush telemetry (it carries the dump) and fail.
+		// Watchdog verdict, checker violation or retransmit exhaustion:
+		// flush telemetry (it carries the dump) and fail.
 		col.Close(kern.Now())
 		return Result{}, ferr
 	}

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"flexsnoop/internal/checker"
 	"flexsnoop/internal/protocol"
 	"flexsnoop/internal/sim"
 	"flexsnoop/internal/telemetry"
 )
 
-// This file holds the run-robustness layer wired in by Run: the
-// no-forward-progress watchdog and the continuous invariant checker.
-// Both piggyback on the kernel's EndCycle hook — they fire after every
-// executed cycle's events have drained and schedule no events of their
-// own, so an armed-but-quiet watchdog or checker leaves the simulation
-// cycle-identical (only inspection happens).
+// This file holds the no-forward-progress watchdog wired in by Run. It
+// piggybacks on the kernel's EndCycle hook: it fires after every executed
+// cycle's events have drained and schedules no events of its own, so an
+// armed-but-quiet watchdog leaves the simulation cycle-identical.
 
 // watchdogDegradeAttempts bounds graceful-degradation rounds before the
 // watchdog fails fast anyway: if forcing Eager forwarding twice did not
@@ -49,7 +46,7 @@ type watchdog struct {
 }
 
 // installWatchdog chains the watchdog onto the kernel's EndCycle hook,
-// after the engine's transmit flush.
+// after the engine's transmit flush and the checker.
 func installWatchdog(kern *sim.Kernel, eng *protocol.Engine, col *telemetry.Collector, window sim.Time, degrade bool) {
 	if window <= 0 {
 		window = watchdogWindowDeadlines * eng.TimeoutDeadline()
@@ -111,26 +108,4 @@ func (w *watchdog) tick(now sim.Time) {
 	w.eng.Fail(fmt.Errorf(
 		"machine: watchdog: %s: no transaction completed in the %d-cycle window ending at cycle %d (outstanding=%d queued=%d churn=%d):\n  %s",
 		verdict, w.window, now, outstanding, queued, churn, strings.Join(dump, "\n  ")))
-}
-
-// installContinuousChecker runs the full coherence invariant checker at
-// the first EndCycle at or after each `every`-cycle mark (a clean cycle
-// boundary: the cycle's events have all executed; EndCycle fires only at
-// cycles with live events). A violation fails the run at the cycle it is
-// detected, not at end of run.
-func installContinuousChecker(kern *sim.Kernel, eng *protocol.Engine, chk *checker.Checker, every sim.Time) {
-	next := every
-	prev := kern.EndCycle
-	kern.EndCycle = func(now sim.Time) {
-		if prev != nil {
-			prev(now)
-		}
-		if now < next {
-			return
-		}
-		next = now + every
-		if err := chk.Check(); err != nil {
-			eng.Fail(fmt.Errorf("machine: continuous check at cycle %d: %w", now, err))
-		}
-	}
 }

@@ -59,11 +59,7 @@ type Engine struct {
 
 	stats Stats
 
-	// checkEvery runs the invariant checker after every N transaction
-	// completions when non-zero (tests enable it).
-	invariantCheck func() error
-	checkEvery     uint64
-	completions    uint64
+	retires uint64 // retired transactions, retry handoffs included
 
 	// observer, when set, receives every performed reference with the
 	// data generation it bound (tests use it to verify per-core
@@ -360,13 +356,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// SetInvariantChecker installs a coherence checker run after every
-// transaction completion (tests) or every N completions.
-func (e *Engine) SetInvariantChecker(every uint64, check func() error) {
-	e.checkEvery = every
-	e.invariantCheck = check
-}
-
 // Nodes returns the node count.
 func (e *Engine) Nodes() int { return len(e.nodes) }
 
@@ -486,15 +475,6 @@ func (e *Engine) HasActiveTxn(addr cache.LineAddr) bool {
 func (e *Engine) Cores() int { return e.cfg.CoresPerCMP }
 
 func (e *Engine) now() sim.Time { return e.kern.Now() }
-
-func (e *Engine) maybeCheck() {
-	e.completions++
-	if e.invariantCheck != nil && e.checkEvery > 0 && e.completions%e.checkEvery == 0 {
-		if err := e.invariantCheck(); err != nil {
-			panic(fmt.Sprintf("protocol: coherence invariant violated at cycle %d: %v", e.now(), err))
-		}
-	}
-}
 
 // homeOf returns the home node of a line.
 func (e *Engine) homeOf(addr cache.LineAddr) int {

@@ -27,7 +27,7 @@ import (
 //     backoff, bounded by the plan's retry limit. Retire cancels the
 //     deadlines still pending, so a run ends at its last live event.
 //   - Fail/Failure latch the first unrecoverable error (retry exhaustion,
-//     a watchdog verdict, or a continuous-checker violation) and stop the
+//     a watchdog verdict, or an in-run checker violation) and stop the
 //     kernel, so machine.Run can report it instead of hanging.
 //
 // Every hook guards on e.inj (or a nil map), so a fault-free run executes
@@ -70,7 +70,11 @@ func (e *Engine) Failure() error { return e.failErr }
 // subtracting the retry count leaves real completions: a machine spinning
 // through squash-retry cycles shows flat Completions and advancing
 // RetryChurn, which is exactly the livelock signature.
-func (e *Engine) Completions() uint64 { return e.completions - e.stats.Retries }
+func (e *Engine) Completions() uint64 { return e.retires - e.stats.Retries }
+
+// Retires reports how many transactions have retired: completed accesses
+// and retry handoffs alike. The checker's retire cadence counts it.
+func (e *Engine) Retires() uint64 { return e.retires }
 
 // RetryChurn reports squash/retry/timeout activity: advancing churn with
 // no completions is the watchdog's livelock signature.

@@ -15,7 +15,7 @@ import (
 )
 
 // testEngine builds an engine with the Section 6.1 predictor for the
-// algorithm and the invariant checker armed on every completion.
+// algorithm and the invariant checker armed on every retire.
 func testEngine(t *testing.T, alg config.Algorithm) (*sim.Kernel, *protocol.Engine) {
 	t.Helper()
 	kern := sim.NewKernel()
@@ -29,8 +29,22 @@ func testEngine(t *testing.T, alg config.Algorithm) (*sim.Kernel, *protocol.Engi
 	if err != nil {
 		t.Fatalf("NewEngine(%v): %v", alg, err)
 	}
-	e.SetInvariantChecker(1, checker.New(e).Check)
+	armChecker(t, kern, e)
 	return kern, e
+}
+
+// armChecker runs the invariant checker at the end of every cycle in
+// which a transaction retired, so a check follows every retire before
+// the clock advances. A violation stops the kernel; the test fails on it
+// when it ends, whatever it asserted meanwhile.
+func armChecker(t *testing.T, kern *sim.Kernel, e *protocol.Engine) {
+	t.Helper()
+	checker.New(e).Arm(kern, 1, 0)
+	t.Cleanup(func() {
+		if err := e.Failure(); err != nil {
+			t.Errorf("in-run check: %v", err)
+		}
+	})
 }
 
 // run drives the kernel dry and verifies the machine drained cleanly.
@@ -380,7 +394,7 @@ func TestExactDowngradesUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, checker.New(e).Check)
+	armChecker(t, kern, e)
 	// Node 0 accumulates far more supplier lines than predictor entries.
 	for i := 0; i < 200; i++ {
 		addr := cache.LineAddr(0x1000 + i*8)

@@ -93,7 +93,7 @@ func TestNoExclusiveWhileDowngradedSLExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, checker.New(e).Check)
+	armChecker(t, kern, e)
 	// Fill node 0 with three supplier lines in the same predictor set;
 	// the 2-entry predictor must downgrade one to S_L.
 	for i := 0; i < 3; i++ {
@@ -277,7 +277,7 @@ func TestSubsetFalseNegativeAtSupplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInvariantChecker(1, checker.New(e).Check)
+	armChecker(t, kern, e)
 	// Node 0 acquires three supplier lines; the 2-entry predictor loses
 	// at least one (Subset evicts silently — no downgrade).
 	lines := []cache.LineAddr{0x200, 0x202, 0x204}

@@ -597,7 +597,7 @@ func (e *Engine) retire(t *txn) {
 		n.issueQueue = n.issueQueue[1:]
 		e.kern.After(1, func() { e.restart(next) })
 	}
-	e.maybeCheck()
+	e.retires++
 	e.cancelDeadlines(t)
 	// All references are gone: byID/outstanding entries deleted, waiters
 	// drained, blocked messages redelivered, deadlines cancelled. Recycle

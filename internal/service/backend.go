@@ -420,9 +420,11 @@ func remoteExpiry(ctx context.Context, ex *execution) error {
 }
 
 // prober is the coordinator's health checker: every HealthInterval it
-// probes each remote backend's /readyz (health) and /statsz (load and
-// pool size). A failed probe opens the backend's breaker; a passing one
-// moves an open breaker to half-open and wakes the dispatcher.
+// probes each remote backend with one GET /statsz, which reports both
+// health (ready: the predicate /readyz answers) and load and pool size.
+// A failed probe, or a backend that is not ready, opens the backend's
+// breaker; a passing one moves an open breaker to half-open and wakes
+// the dispatcher.
 func (s *Server) prober() {
 	defer s.wg.Done()
 	interval := s.cfg.HealthInterval
@@ -452,12 +454,11 @@ func (s *Server) probeBackends(timeout time.Duration) {
 
 	for _, b := range targets {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		err := b.client.Ready(ctx)
-		var remote Stats
-		if err == nil {
-			remote, err = b.client.Stats(ctx)
-		}
+		remote, err := b.client.Stats(ctx)
 		cancel()
+		if err == nil && !remote.Ready {
+			err = fmt.Errorf("not ready (draining=%t)", remote.Draining)
+		}
 
 		s.mu.Lock()
 		if err != nil {

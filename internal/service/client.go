@@ -35,9 +35,8 @@ type Client struct {
 
 const (
 	defaultTransportRetries = 10
-	// retryBase is the first wait of both retry schedules: transport
-	// retries (retrySchedule) and 429 backoff without a Retry-After
-	// (submitBackoff).
+	// retryBase is the first wait of the one retry schedule
+	// (retrySchedule).
 	retryBase = 50 * time.Millisecond
 	// maxRetryAfter caps how long a server-sent Retry-After is honored —
 	// a confused (or hostile) server must not park the client for
@@ -137,9 +136,10 @@ func transientTransport(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// retrySchedule is the wait before transport-retry attempt n (1-based):
-// retryBase, doubling per attempt, capped at one second. Pure, so the
-// schedule itself is unit-testable.
+// retrySchedule is the wait before retry attempt n (1-based) of a
+// transport error or of a 429 without Retry-After: retryBase, doubling
+// per attempt, capped at one second. Pure, so the schedule itself is
+// unit-testable.
 func retrySchedule(attempt int) time.Duration {
 	wait := retryBase
 	for i := 1; i < attempt && wait < time.Second; i++ {
@@ -201,9 +201,9 @@ func (c *Client) SubmitWait(ctx context.Context, spec JobSpec) (JobStatus, error
 // client-side guess in both directions — no hammering a deeply backed-up
 // queue, no idling in front of one about to clear (capped at
 // maxRetryAfter in case the server's estimate is wild). Without the
-// header the client falls back to exponential backoff from retryBase up
-// to one second. Every other error — including ctx expiring mid-backoff —
-// returns immediately.
+// header the client waits retrySchedule(attempt), the transport retries'
+// schedule, which doubles from retryBase up to one second. Every other
+// error — including ctx expiring mid-backoff — returns immediately.
 //
 // A POST may outlive ctx by cancelGrace: the server may admit a job
 // whose caller gave up meanwhile, and only the response names it. Such a
@@ -215,8 +215,7 @@ func (c *Client) submitBackoff(ctx context.Context, spec JobSpec) (JobStatus, er
 	postCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	defer context.AfterFunc(ctx, func() { time.AfterFunc(cancelGrace, cancel) })()
-	backoff := retryBase
-	for {
+	for attempt := 1; ; attempt++ {
 		st, err := c.Submit(postCtx, spec)
 		if err == nil {
 			return st, ctx.Err()
@@ -225,10 +224,7 @@ func (c *Client) submitBackoff(ctx context.Context, spec JobSpec) (JobStatus, er
 		if !ok || re.StatusCode != http.StatusTooManyRequests {
 			return JobStatus{}, err
 		}
-		wait := backoff
-		if backoff < time.Second {
-			backoff *= 2
-		}
+		wait := retrySchedule(attempt)
 		if re.RetryAfter > 0 {
 			wait = re.RetryAfter
 			if wait > maxRetryAfter {
@@ -287,18 +283,12 @@ func (c *Client) Run(ctx context.Context, spec JobSpec) (flexsnoop.Result, error
 	}
 }
 
-// Stats fetches the server's /statsz snapshot.
+// Stats fetches the server's /statsz snapshot. The coordinator's
+// health checker probes every remote backend with it.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
 	err := c.do(ctx, http.MethodGet, "/statsz", nil, &st)
 	return st, err
-}
-
-// Ready probes the server's /readyz endpoint: nil means the server is
-// accepting jobs; a draining or unreachable server errors. The
-// coordinator's health checker calls this against every remote backend.
-func (c *Client) Ready(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
 }
 
 // Register announces a worker to a coordinator (POST /v1/backends): the

@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +330,39 @@ func TestFederationProbeRecovery(t *testing.T) {
 	}
 	if got := hb.Stats().Backends[0].BreakerState; got != "closed" {
 		t.Errorf("breaker after the half-open job = %q, want closed", got)
+	}
+}
+
+// TestProbeOneRequestPerBackend: one probe round sends a backend one
+// request, GET /statsz, and that snapshot's ready flag is the health
+// signal, so a draining backend fails the probe.
+func TestProbeOneRequestPerBackend(t *testing.T) {
+	worker := mustNew(t, Config{Workers: 2})
+	h := worker.Handler()
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	cfg := coordCfg(ts.URL)
+	cfg.HealthInterval = time.Hour // the test runs each probe itself
+	coord := mustNew(t, cfg)
+	defer coord.Close()
+
+	coord.probeBackends(5 * time.Second)
+	if got := requests.Load(); got != 1 {
+		t.Errorf("one probe round sent the backend %d requests, want 1", got)
+	}
+	if b := coord.Stats().Backends[0]; !b.Healthy || b.Slots != 2 {
+		t.Errorf("backend after a passing probe: %+v, want healthy with 2 slots", b)
+	}
+
+	worker.Close() // draining: /statsz now reports ready false
+	coord.probeBackends(5 * time.Second)
+	b := coord.Stats().Backends[0]
+	if b.BreakerState != "open" || !strings.Contains(b.LastError, "not ready") {
+		t.Errorf("backend after probing a draining worker: %+v, want its breaker open on \"not ready\"", b)
 	}
 }
 

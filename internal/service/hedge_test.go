@@ -89,10 +89,8 @@ func TestHedgeMismatchDetected(t *testing.T) {
 			writeJSON(w, http.StatusOK, JobStatus{
 				ID: "stub-1", State: StateDone, Result: &res,
 			})
-		case r.URL.Path == "/readyz":
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		case r.URL.Path == "/statsz":
-			writeJSON(w, http.StatusOK, Stats{Workers: 2})
+			writeJSON(w, http.StatusOK, Stats{Workers: 2, Ready: true})
 		default:
 			http.NotFound(w, r)
 		}

@@ -366,6 +366,55 @@ func TestRecoveryFailedStaysFailed(t *testing.T) {
 	}
 }
 
+// TestViolatingJobFailsServerSurvives: a job whose run violates a
+// coherence invariant is an ordinary terminal job. The spec is a Subset
+// fault run whose checker finds incompatible states on one line; while
+// that protocol bug stands the job fails with the checker's error, and
+// done is accepted for once it is fixed. The server then runs another
+// job, and a server reopened on its journal becomes ready with the first
+// job still terminal.
+func TestViolatingJobFailsServerSurvives(t *testing.T) {
+	var spec JobSpec
+	body := `{"algorithm":"Subset","workload":"fft","options":{"ops_per_core":300,"seed":1,` +
+		`"check_invariants":true,"faults":"kind=drop,rate=0.05,seed=1"}}`
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatalf("decode spec: %v", err)
+	}
+	cfg := durableCfg(t)
+	s1 := mustNew(t, cfg)
+	st, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	first := waitTerminal(t, s1, st.ID)
+	switch first.State {
+	case StateDone:
+	case StateFailed:
+		for _, want := range []string{"check at cycle", "line 0x100000f28f0"} {
+			if !strings.Contains(first.Error, want) {
+				t.Errorf("job error %q does not name %q", first.Error, want)
+			}
+		}
+	default:
+		t.Fatalf("violating job = %q, want done or failed", first.State)
+	}
+	later, err := s1.Submit(smallSpec(64))
+	if err != nil {
+		t.Fatalf("Submit after the violating job: %v", err)
+	}
+	waitState(t, s1, later.ID, StateDone)
+	s1.Close()
+
+	s2 := mustNew(t, cfg)
+	defer s2.Close()
+	if !s2.Ready() {
+		t.Fatal("server not ready after replay")
+	}
+	if got, err := s2.Status(st.ID); err != nil || got.State != first.State || got.Error != first.Error {
+		t.Errorf("violating job after restart = %+v, %v; want %q with error %q", got, err, first.State, first.Error)
+	}
+}
+
 // TestJournalRecordsEachTransitionOnce reads back the journal a server
 // wrote: one job runs to done; a deduplicated job's first submitter is
 // cancelled while the shared execution is still queued; a running job

@@ -366,7 +366,8 @@ func (k *Kernel) Pending() int { return k.live }
 // allocator; steady-state simulations stop growing it).
 func (k *Kernel) FreeEvents() int { return len(k.free) }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run return after the current event completes, or, called
+// from EndCycle, at the end of the current cycle.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // advanceBoundary moves the near window forward one rotation and cascades
@@ -664,6 +665,9 @@ func (k *Kernel) runCycle() (cont, any bool) {
 		}
 		if k.EndCycle != nil {
 			k.EndCycle(k.now)
+			if k.stopped {
+				return false, any
+			}
 			if k.hasLiveNow() {
 				continue
 			}

@@ -244,6 +244,19 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStopFromEndCycle: a Stop from the EndCycle hook ends Run at that
+// cycle; the next cycle's event stays pending.
+func TestStopFromEndCycle(t *testing.T) {
+	k := NewKernel()
+	ran := 0
+	k.Schedule(5, func() { ran++ })
+	k.Schedule(900, func() { ran++ })
+	k.EndCycle = func(Time) { k.Stop() }
+	if now := k.Run(MaxTime); now != 5 || ran != 1 || k.Pending() != 1 {
+		t.Errorf("Run = cycle %d with %d events run, %d pending; want cycle 5, 1 run, 1 pending", now, ran, k.Pending())
+	}
+}
+
 func TestExecutedCount(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 5; i++ {
